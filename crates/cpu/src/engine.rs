@@ -227,6 +227,10 @@ impl<'a, 'c> Engine<SocCtx<'c>> for CpuMarkEngine<'a> {
         Some(self.cpu.now)
     }
 
+    fn issue_floor(&self, now: Cycle) -> Cycle {
+        self.cpu.now.min(now)
+    }
+
     fn stall_reason(&self, _now: Cycle) -> StallReason {
         // Only consulted when the core clock is ahead; the wait is the
         // tail of a memory access the core already charged itself.
@@ -381,6 +385,10 @@ impl<'a, 'c> Engine<SocCtx<'c>> for CpuSweepEngine<'a> {
 
     fn next_event_at(&self) -> Option<Cycle> {
         Some(self.cpu.now)
+    }
+
+    fn issue_floor(&self, now: Cycle) -> Cycle {
+        self.cpu.now.min(now)
     }
 
     fn stall_reason(&self, _now: Cycle) -> StallReason {

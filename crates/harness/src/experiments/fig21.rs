@@ -34,8 +34,12 @@ pub fn run(opts: &Options) -> ExperimentOutput {
         false,
         opts.fault,
     );
-    let counts = run.unit.traversal().access_counts();
-    let mut freq: Vec<u32> = counts.values().copied().collect();
+    let mut freq: Vec<u32> = run
+        .workload
+        .heap
+        .mark_access_counts()
+        .into_values()
+        .collect();
     freq.sort_unstable_by(|a, b| b.cmp(a));
     let total_accesses: u64 = freq.iter().map(|&c| c as u64).sum();
     let top56: u64 = freq.iter().take(56).map(|&c| c as u64).sum();

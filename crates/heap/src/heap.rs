@@ -2,7 +2,7 @@
 //! and the functional object API shared by every timed agent.
 
 use crate::pageset::PageSet;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use tracegc_mem::PhysMem;
 use tracegc_vmem::{AddressSpace, FrameAlloc, PAGE_SIZE};
@@ -585,6 +585,20 @@ impl Heap {
             }
         }
         seen
+    }
+
+    /// How often a complete tracing pass presents each reachable object
+    /// to the marker: once per root slot holding it, plus once per
+    /// reference to it from a reachable object (the Fig. 21a
+    /// mark-access distribution).
+    pub fn mark_access_counts(&self) -> BTreeMap<ObjRef, u32> {
+        let mut counts = BTreeMap::new();
+        let reachable = self.reachable_from_roots();
+        let refs = reachable.iter().flat_map(|&obj| self.refs_of(obj));
+        for r in self.roots.iter().copied().chain(refs) {
+            *counts.entry(r).or_insert(0) += 1;
+        }
+        counts
     }
 
     /// The set of objects whose mark bit is currently set (linear scan of

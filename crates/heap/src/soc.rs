@@ -15,6 +15,8 @@
 //! ```
 
 use tracegc_mem::MemSystem;
+use tracegc_sim::sched::SchedCtx;
+use tracegc_sim::Cycle;
 
 use crate::Heap;
 
@@ -48,6 +50,14 @@ impl<'a> SocCtx<'a> {
     /// The common single-heap case.
     pub fn single(mem: &'a mut MemSystem, heap: &'a mut Heap) -> Self {
         Self::new(mem, vec![heap])
+    }
+}
+
+/// Forwards the scheduler's issue floor to the shared memory system,
+/// which retires the data-bus history below it.
+impl SchedCtx for SocCtx<'_> {
+    fn retire_before(&mut self, floor: Cycle) {
+        self.mem.retire_before(floor);
     }
 }
 

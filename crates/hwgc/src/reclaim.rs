@@ -497,6 +497,13 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
             .or(self.finalized.then_some(self.result.end))
     }
 
+    // Lanes replay their actions at their own clocks, so the lowest
+    // pending lane bounds every request still to come.
+    fn issue_floor(&self, now: Cycle) -> Cycle {
+        self.earliest_pending()
+            .map_or(now, |i| self.sweepers[i].now.min(now))
+    }
+
     fn stall_reason(&self, _now: Cycle) -> StallReason {
         if self.finalized {
             StallReason::Idle

@@ -15,7 +15,7 @@
 //! (§IV-A.II).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use tracegc_heap::layout::{bidi, conv, Header, LayoutKind, HEADER_MARK_BIT, WORD};
 use tracegc_heap::{Heap, SocCtx};
@@ -203,8 +203,6 @@ pub struct TraversalUnit {
     /// Latencies observed by the background traffic (the mutator's view
     /// of memory interference).
     bg_latencies: Vec<Cycle>,
-    /// Mark accesses per object reference (Fig. 21a).
-    access_counts: HashMap<u64, u32>,
     objects_marked: u64,
     already_marked: u64,
     filtered: u64,
@@ -284,7 +282,6 @@ impl TraversalUnit {
             bg_period: 0,
             bg_next: 0,
             bg_latencies: Vec::new(),
-            access_counts: HashMap::new(),
             objects_marked: 0,
             already_marked: 0,
             filtered: 0,
@@ -304,11 +301,6 @@ impl TraversalUnit {
     /// The unit's configuration.
     pub fn config(&self) -> &GcUnitConfig {
         &self.cfg
-    }
-
-    /// Per-object mark-access counts (the Fig. 21a distribution).
-    pub fn access_counts(&self) -> &HashMap<u64, u32> {
-        &self.access_counts
     }
 
     /// Injects background mutator traffic during the mark pass: one
@@ -1001,7 +993,6 @@ impl TraversalUnit {
             self.raise_trap(Trap::new(TrapKind::RefOutOfBounds, va, now));
             return true;
         }
-        *self.access_counts.entry(va).or_insert(0) += 1;
         if self.markbit.filter(va) {
             self.filtered += 1;
             return true;
@@ -1446,8 +1437,14 @@ mod tests {
         h.set_roots(&[objs[0]]);
         let mut mem = MemSystem::ddr3(Default::default());
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut h);
-        unit.run_mark(&mut h, &mut mem, 0);
-        assert_eq!(unit.access_counts()[&hub.addr()], 100);
+        let r = unit.run_mark(&mut h, &mut mem, 0);
+        // The heap-derived counts account for every marker attempt.
+        let counts = h.mark_access_counts();
+        assert_eq!(counts[&hub], 100);
+        assert_eq!(
+            counts.values().map(|&c| c as u64).sum::<u64>(),
+            r.objects_marked + r.already_marked + r.filtered
+        );
     }
 
     #[test]

@@ -17,8 +17,21 @@
 //! column-access start times of consecutive requests. Row-buffer hits,
 //! misses and conflicts pay CL, tRCD+CL and tRP+tRCD+CL respectively, and
 //! tRAS constrains precharge after activate.
+//!
+//! # The shared data bus
+//!
+//! Every burst reserves the data bus at the first free gap at or after
+//! the cycle its data reaches the pins. The bus keeps its busy time as
+//! a sorted deque of merged intervals, so a reservation costs a binary
+//! search over the bus's look-ahead horizon plus an insert near the
+//! tail. The horizon stays short because history is retired: the
+//! scheduler reports, once per service round, a watermark below which
+//! no requester will present again (`MemSystem::retire_before`), and
+//! intervals ending at or below it are popped from the front. Retirement never changes a reservation: an
+//! interval that ends at or before every future `earliest` cannot
+//! overlap any future burst.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use tracegc_sim::{ns, Cycle};
 
@@ -117,7 +130,7 @@ impl Ddr3Config {
 struct Bank {
     /// Recently used rows, most recent first (see
     /// [`Ddr3Config::row_window`]).
-    open_rows: std::collections::VecDeque<u64>,
+    open_rows: VecDeque<u64>,
     /// Earliest cycle the bank can accept its next command.
     ready_at: Cycle,
     /// When the current row was activated (for tRAS).
@@ -149,48 +162,67 @@ pub struct Ddr3Stats {
     pub requests: u64,
 }
 
-/// Data-bus occupancy tracked as merged busy intervals, so requests
-/// presented slightly out of time order (parallel agents leapfrogging
-/// each other by a few tens of cycles) can fill earlier bus gaps instead
-/// of queueing behind a single high-water mark.
+/// Data-bus occupancy as a sorted deque of merged busy intervals.
+///
+/// Requests presented slightly out of time order (parallel agents
+/// leapfrogging each other by a few tens of cycles) fill earlier bus
+/// gaps instead of queueing behind a single high-water mark, so a
+/// reservation is first-fit at or after its `earliest` cycle.
+///
+/// The deque holds only the look-ahead horizon. The scheduler reports a
+/// watermark below which no requester will present again
+/// ([`BusSchedule::retire_before`]); intervals that end at or below it
+/// can never overlap a later reservation and are popped from the front.
+/// Host memory therefore tracks the bus's future, not the number of
+/// requests ever made (DESIGN.md §13).
 #[derive(Debug, Clone, Default)]
 struct BusSchedule {
-    /// Non-overlapping busy intervals, keyed by start.
-    intervals: std::collections::BTreeMap<Cycle, Cycle>,
+    /// Non-overlapping, non-adjacent busy `(start, end)` intervals,
+    /// sorted by start.
+    intervals: VecDeque<(Cycle, Cycle)>,
+    /// Most intervals held at once.
+    peak: usize,
 }
 
 impl BusSchedule {
     /// Reserves `dur` bus cycles at the first gap at or after `earliest`;
     /// returns the reserved start.
     fn reserve(&mut self, earliest: Cycle, dur: Cycle) -> Cycle {
+        // Intervals ending at or before `earliest` cannot delay it.
+        let mut i = self.intervals.partition_point(|&(_, e)| e <= earliest);
         let mut t = earliest;
-        if let Some((_, &e)) = self.intervals.range(..=t).next_back() {
-            if e > t {
-                t = e;
+        while let Some(&(s, e)) = self.intervals.get(i) {
+            if s >= t + dur {
+                break;
+            }
+            t = e;
+            i += 1;
+        }
+        // `intervals[i - 1]` ends at or before `t`, `intervals[i]` starts
+        // at or after `t + dur`: merge with whichever one touches.
+        let end = t + dur;
+        let joins_prev = i > 0 && self.intervals[i - 1].1 == t;
+        let joins_next = self.intervals.get(i).is_some_and(|&(s, _)| s == end);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                let (_, next_end) = self.intervals.remove(i).expect("next interval");
+                self.intervals[i - 1].1 = next_end;
+            }
+            (true, false) => self.intervals[i - 1].1 = end,
+            (false, true) => self.intervals[i].0 = t,
+            (false, false) => {
+                self.intervals.insert(i, (t, end));
+                self.peak = self.peak.max(self.intervals.len());
             }
         }
-        loop {
-            match self.intervals.range(t..).next() {
-                Some((&s, &e)) if s < t + dur => t = e,
-                _ => break,
-            }
-        }
-        let mut start = t;
-        let mut end = t + dur;
-        if let Some((&ps, &pe)) = self.intervals.range(..=start).next_back() {
-            if pe == start {
-                self.intervals.remove(&ps);
-                start = ps;
-            }
-        }
-        if let Some((&ns, &ne)) = self.intervals.range(end..).next() {
-            if ns == end {
-                self.intervals.remove(&ns);
-                end = ne;
-            }
-        }
-        self.intervals.insert(start, end);
         t
+    }
+
+    /// Drops every interval that ends at or before `floor`.
+    fn retire_before(&mut self, floor: Cycle) {
+        while self.intervals.front().is_some_and(|&(_, e)| e <= floor) {
+            self.intervals.pop_front();
+        }
     }
 }
 
@@ -245,6 +277,17 @@ impl Ddr3Model {
     /// Timing statistics so far.
     pub fn stats(&self) -> Ddr3Stats {
         self.stats
+    }
+
+    /// Forgets data-bus history that ends at or before `floor`, below
+    /// which no request will be presented again.
+    pub(crate) fn retire_before(&mut self, floor: Cycle) {
+        self.bus.retire_before(floor);
+    }
+
+    /// Most busy data-bus intervals the model has held at once.
+    pub(crate) fn peak_bus_intervals(&self) -> usize {
+        self.bus.peak
     }
 
     #[inline]
@@ -483,6 +526,104 @@ mod tests {
             let t = i * 3;
             let done = m.schedule(&read64(i * 128), t);
             assert!(done > t);
+        }
+    }
+
+    /// The bus before retirement: every interval ever reserved, keyed
+    /// by start in a `BTreeMap`. The reference the deque is checked
+    /// against.
+    #[derive(Default)]
+    struct OracleBus {
+        intervals: std::collections::BTreeMap<Cycle, Cycle>,
+    }
+
+    impl OracleBus {
+        fn reserve(&mut self, earliest: Cycle, dur: Cycle) -> Cycle {
+            let mut t = earliest;
+            if let Some((_, &e)) = self.intervals.range(..=t).next_back() {
+                if e > t {
+                    t = e;
+                }
+            }
+            loop {
+                match self.intervals.range(t..).next() {
+                    Some((&s, &e)) if s < t + dur => t = e,
+                    _ => break,
+                }
+            }
+            let mut start = t;
+            let mut end = t + dur;
+            if let Some((&ps, &pe)) = self.intervals.range(..=start).next_back() {
+                if pe == start {
+                    self.intervals.remove(&ps);
+                    start = ps;
+                }
+            }
+            if let Some((&ns, &ne)) = self.intervals.range(end..).next() {
+                if ns == end {
+                    self.intervals.remove(&ns);
+                    end = ne;
+                }
+            }
+            self.intervals.insert(start, end);
+            t
+        }
+    }
+
+    #[test]
+    fn bus_deque_matches_btreemap_oracle() {
+        use tracegc_sim::rng::{Rng, StdRng};
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle = OracleBus::default();
+            let mut bus = BusSchedule::default();
+            let mut now: Cycle = 0;
+            for call in 0..3000 {
+                now += rng.random_range(0..16u64);
+                // Requesters lag the shared clock by at most 64 cycles,
+                // so `floor` is a legal watermark.
+                let floor = now.saturating_sub(64);
+                if rng.random_range(0..8u32) == 0 {
+                    bus.retire_before(floor);
+                }
+                let dur = [1, 2, 4, 4, 8][rng.random_range(0..5usize)];
+                let earliest = match rng.random_range(0..4u32) {
+                    // Exactly adjacent to a reserved interval, after it
+                    // or (when the gap fits) before it.
+                    0 => {
+                        let live = oracle.intervals.range(floor..).count();
+                        match oracle
+                            .intervals
+                            .range(floor..)
+                            .nth(rng.random_range(0..live.max(1)))
+                        {
+                            Some((&s, _)) if rng.random::<bool>() => {
+                                s.saturating_sub(dur).max(floor)
+                            }
+                            Some((_, &e)) => e,
+                            None => floor,
+                        }
+                    }
+                    _ => floor + rng.random_range(0..160u64),
+                };
+                let t = bus.reserve(earliest, dur);
+                assert_eq!(t, oracle.reserve(earliest, dur), "seed {seed} call {call}");
+                // An AMO's write-back burst follows its read burst.
+                if rng.random_range(0..4u32) == 0 {
+                    let wb = t + dur;
+                    assert_eq!(
+                        bus.reserve(wb, dur),
+                        oracle.reserve(wb, dur),
+                        "seed {seed} amo {call}"
+                    );
+                }
+            }
+            assert!(
+                bus.peak * 4 < oracle.intervals.len(),
+                "retirement bounds the deque: peak {} vs {} ever held",
+                bus.peak,
+                oracle.intervals.len()
+            );
         }
     }
 

@@ -106,6 +106,9 @@ pub struct MemSystem {
     /// First unrecoverable memory fault, latched until a requester
     /// polls [`MemSystem::take_fault`] and escalates it to a trap.
     pending_fault: Option<SimError>,
+    /// The retirement watermark: no request may be presented below it
+    /// (see [`MemSystem::retire_before`]).
+    floor: Cycle,
 }
 
 /// Bandwidth-meter window: 50 µs at 1 GHz, fine enough for Fig. 16's
@@ -123,6 +126,7 @@ impl MemSystem {
             trace: None,
             fault: None,
             pending_fault: None,
+            floor: 0,
         }
     }
 
@@ -135,6 +139,7 @@ impl MemSystem {
             trace: None,
             fault: None,
             pending_fault: None,
+            floor: 0,
         }
     }
 
@@ -190,6 +195,33 @@ impl MemSystem {
         }
     }
 
+    /// Raises the retirement watermark to `floor`: no request will be
+    /// presented below it again, so the controller may drop the
+    /// data-bus history that ends at or before it.
+    ///
+    /// The scheduler calls this once per service round with the lowest
+    /// issue floor of its live engines. Presenting a request below the
+    /// watermark afterwards is a caller bug: [`MemSystem::schedule`]
+    /// debug-asserts against it.
+    pub fn retire_before(&mut self, floor: Cycle) {
+        if floor > self.floor {
+            self.floor = floor;
+            if let Controller::Ddr3(m) = &mut self.controller {
+                m.retire_before(floor);
+            }
+        }
+    }
+
+    /// Most busy data-bus intervals the DDR3 controller has held at once
+    /// (0 for the pipe). Bounded by the bus's look-ahead horizon, not by
+    /// the number of requests made.
+    pub fn peak_bus_intervals(&self) -> usize {
+        match &self.controller {
+            Controller::Ddr3(m) => m.peak_bus_intervals(),
+            Controller::Pipe(_) => 0,
+        }
+    }
+
     /// Schedules a request presented at `earliest`; returns the
     /// response-ready cycle.
     ///
@@ -200,6 +232,11 @@ impl MemSystem {
     /// then marks when the failure became architecturally visible).
     pub fn schedule(&mut self, req: &MemReq, earliest: Cycle) -> Cycle {
         debug_assert!(req.is_aligned(), "misaligned request {req:?}");
+        debug_assert!(
+            earliest >= self.floor,
+            "request {req:?} presented at {earliest}, below the retired floor {}",
+            self.floor
+        );
         let done = match self.fault.is_some() {
             false => self.dispatch(req, earliest),
             true => self.dispatch_faulted(req, earliest),
@@ -491,6 +528,30 @@ mod tests {
         assert_eq!(faulted.schedule(&req, 0), base + 77);
         assert!(faulted.pending_fault().is_none());
         assert_eq!(faulted.fault_stats().unwrap().delayed, 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below the retired floor")]
+    fn request_below_the_retired_floor_trips_the_assert() {
+        let mut mem = MemSystem::ddr3(Ddr3Config::default());
+        mem.schedule(&MemReq::read(0, 64, Source::Tracer), 100);
+        mem.retire_before(1000);
+        mem.schedule(&MemReq::read(64, 64, Source::Tracer), 999);
+    }
+
+    #[test]
+    fn retirement_never_changes_timing() {
+        let mut kept = MemSystem::ddr3(Ddr3Config::default());
+        let mut retired = MemSystem::ddr3(Ddr3Config::default());
+        for i in 0..400u64 {
+            // Four requesters, each up to 30 cycles behind the clock.
+            let t = i * 3 + (i % 4) * 10;
+            retired.retire_before((i * 3).saturating_sub(1));
+            let req = MemReq::read(i * 4096 % (1 << 20), 64, Source::Tracer);
+            assert_eq!(kept.schedule(&req, t), retired.schedule(&req, t));
+        }
+        assert!(retired.peak_bus_intervals() < kept.peak_bus_intervals());
     }
 
     #[test]

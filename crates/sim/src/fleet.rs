@@ -31,7 +31,7 @@
 use std::collections::VecDeque;
 
 use crate::rng::{Rng, StdRng};
-use crate::sched::{Engine, Policy, Progress, Scheduler};
+use crate::sched::{Engine, Policy, Progress, SchedCtx, Scheduler};
 use crate::{Cycle, SimError, StallReason};
 
 /// How the fleet admits and orders queued GC requests.
@@ -167,6 +167,8 @@ struct FleetCtx {
     rejected: u64,
     busy_cycles: u64,
 }
+
+impl SchedCtx for FleetCtx {}
 
 /// Replays the precomputed arrival trace into the admission queue.
 struct ArrivalEngine {

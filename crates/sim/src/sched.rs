@@ -115,6 +115,19 @@
 //! experiment driver's `--par-engines` flag) and per scope via
 //! [`with_exec`].
 //!
+//! # Issue floor: retiring memory history
+//!
+//! At the top of every service round, before any engine steps, the
+//! scheduler takes the minimum [`Engine::issue_floor`] over the live
+//! engines and hands it to the context's [`SchedCtx::retire_before`]
+//! hook. The floor promises that no engine will present a memory
+//! request below it again, so the SoC context's memory system can drop
+//! the data-bus history that ends at or before it (DESIGN.md §13).
+//! Engines default to `now`; the sweeper array and the CPU collector
+//! engines, whose local clocks can lag the shared one, report their
+//! lowest local clock instead. Contexts without history (`()`, the
+//! fleet queue) keep the hook's default no-op.
+//!
 //! A no-progress watchdog replaces ad-hoc per-loop deadlock panics:
 //! after [`DEFAULT_NO_PROGRESS_LIMIT`] cycles (configurable via
 //! [`Scheduler::no_progress_limit`]) in which every engine stalled,
@@ -232,6 +245,18 @@ pub trait Engine<Ctx> {
     /// engine is stalled with no event.
     fn next_event_at(&self) -> Option<Cycle>;
 
+    /// The earliest cycle at which the engine may still present a
+    /// memory request, asked at the top of the service round at `now`.
+    ///
+    /// The scheduler hands the minimum over the live engines to
+    /// [`SchedCtx::retire_before`], which lets the memory controller
+    /// drop history no request can reach again. Defaults to `now`;
+    /// an engine whose local clock can lag the shared one (a sweeper
+    /// lane, the CPU core) reports its lowest local clock instead.
+    fn issue_floor(&self, now: Cycle) -> Cycle {
+        now
+    }
+
     /// Why the engine cannot progress at `now` (used for stall charging
     /// and watchdog dumps). Defaults to [`StallReason::Idle`].
     fn stall_reason(&self, _now: Cycle) -> StallReason {
@@ -257,6 +282,21 @@ pub trait Engine<Ctx> {
         None
     }
 }
+
+/// The context a [`Scheduler`] hands to its engines.
+///
+/// Once per service round, before any engine steps, the scheduler
+/// reports the lowest [`Engine::issue_floor`] of its live engines: no
+/// engine will present a memory request below it again. The SoC
+/// context forwards it to the memory system, which retires its
+/// data-bus history; contexts without such history keep the default
+/// no-op.
+pub trait SchedCtx {
+    /// No engine will present a request earlier than `floor` again.
+    fn retire_before(&mut self, _floor: Cycle) {}
+}
+
+impl SchedCtx for () {}
 
 /// How the [`Scheduler`] arbitrates its engines each cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -625,7 +665,7 @@ impl Scheduler {
     /// Panics when every engine stalls with no pending event, or when
     /// the no-progress watchdog trips — both with a per-engine
     /// stall-reason and ledger dump.
-    pub fn run<Ctx>(
+    pub fn run<Ctx: SchedCtx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
         ctx: &mut Ctx,
@@ -648,7 +688,7 @@ impl Scheduler {
     ///
     /// Panics on caller errors: an empty engine set, no foreground
     /// engine, or a non-permutation priority order.
-    pub fn try_run<Ctx>(
+    pub fn try_run<Ctx: SchedCtx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
         ctx: &mut Ctx,
@@ -692,7 +732,7 @@ impl Scheduler {
     /// Panics on the caller errors [`Scheduler::try_run`] rejects
     /// (empty engine set, no foreground engine, bad priority order) in
     /// any partition, and propagates panics out of engine code.
-    pub fn try_run_partitioned<Ctx: Send>(
+    pub fn try_run_partitioned<Ctx: SchedCtx + Send>(
         &self,
         exec: Exec,
         parts: Vec<Partition<'_, Ctx>>,
@@ -712,7 +752,7 @@ impl Scheduler {
 
     /// Lockstep / priority / throttled: every live engine is offered
     /// every service cycle.
-    fn run_synchronous<Ctx>(
+    fn run_synchronous<Ctx: SchedCtx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
         ctx: &mut Ctx,
@@ -736,6 +776,7 @@ impl Scheduler {
         let mut now = start;
         let mut last_progress = start;
         loop {
+            ctx.retire_before(Self::issue_floor(engines, &done, now));
             advanced.iter_mut().for_each(|a| *a = false);
             let mut any_progress = false;
             for &i in &order {
@@ -864,7 +905,7 @@ impl Scheduler {
     /// docs — the grant was historically derived from the absolute
     /// cycle, `now % n`, so a skip landing on the wrong parity
     /// re-granted the engine just served or swallowed a turn).
-    fn run_round_robin<Ctx>(
+    fn run_round_robin<Ctx: SchedCtx>(
         &self,
         engines: &mut [&mut dyn Engine<Ctx>],
         ctx: &mut Ctx,
@@ -954,6 +995,7 @@ impl Scheduler {
             }
             let idx = grant;
             let mut progress = false;
+            ctx.retire_before(Self::issue_floor(engines, &done, now));
             if !done[idx] {
                 match engines[idx].step(now, ctx) {
                     Progress::Done => {
@@ -1014,6 +1056,15 @@ impl Scheduler {
         Ok(SocReport { start, end, ends })
     }
 
+    /// The lowest issue floor of the live engines at `now`.
+    fn issue_floor<Ctx>(engines: &[&mut dyn Engine<Ctx>], done: &[bool], now: Cycle) -> Cycle {
+        (0..engines.len())
+            .filter(|&i| !done[i])
+            .map(|i| engines[i].issue_floor(now))
+            .min()
+            .unwrap_or(now)
+    }
+
     /// Builds the [`SimError::Deadlock`] carrying the per-engine
     /// stall-reason and ledger dump.
     fn deadlock_report<Ctx>(
@@ -1052,6 +1103,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The toy engines log into plain vectors, which have no history.
+    impl<T> SchedCtx for Vec<T> {}
 
     /// Toy engine: does `work` units, one per cycle, optionally only
     /// when `gate` divides `now`; self-reports a ledger.
@@ -1184,6 +1238,46 @@ mod tests {
         assert_eq!(a.ledger.busy_cycles(), 4);
         assert_eq!(a.ledger.stalled(StallReason::Throttled), 12);
         assert_eq!(a.ledger.total(), 16);
+    }
+
+    #[test]
+    fn retire_hook_gets_the_lowest_live_issue_floor_each_round() {
+        /// Records every floor the scheduler reports.
+        struct Floors(Vec<Cycle>);
+        impl SchedCtx for Floors {
+            fn retire_before(&mut self, floor: Cycle) {
+                self.0.push(floor);
+            }
+        }
+        /// Works `work` cycles; its requests may lag the clock by `lag`.
+        struct Lagging {
+            work: u64,
+            lag: Cycle,
+        }
+        impl Engine<Floors> for Lagging {
+            fn name(&self) -> &'static str {
+                "lagging"
+            }
+            fn step(&mut self, _now: Cycle, _ctx: &mut Floors) -> Progress {
+                if self.work == 0 {
+                    return Progress::Done;
+                }
+                self.work -= 1;
+                Progress::Advanced
+            }
+            fn next_event_at(&self) -> Option<Cycle> {
+                None
+            }
+            fn issue_floor(&self, now: Cycle) -> Cycle {
+                now.saturating_sub(self.lag)
+            }
+        }
+        let mut a = Lagging { work: 6, lag: 0 };
+        let mut b = Lagging { work: 2, lag: 3 };
+        let mut floors = Floors(Vec::new());
+        Scheduler::new(Policy::Lockstep).run(&mut [&mut a, &mut b], &mut floors, 0);
+        // `b` lags by 3 until it finishes at cycle 2; then `a` sets it.
+        assert_eq!(floors.0, vec![0, 0, 0, 3, 4, 5, 6]);
     }
 
     #[test]

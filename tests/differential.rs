@@ -58,9 +58,10 @@ fn assert_hw_matches_sw(spec: &BenchSpec) {
     );
 
     // Sweep: the reclamation unit must free exactly what the software
-    // sweep frees.
+    // sweep frees. It starts where the mark ended, as a collection
+    // does: the bus has retired the mark's history.
     let mut sweeper = ReclamationUnit::new(GcUnitConfig::default(), &hw.heap);
-    let hw_sweep = sweeper.run_sweep(&mut hw.heap, &mut mem, 0);
+    let hw_sweep = sweeper.run_sweep(&mut hw.heap, &mut mem, mark.end);
     let sw_sweep = software_sweep(&mut sw.heap);
     assert_eq!(
         hw_sweep.cells_freed, sw_sweep.freed_cells,

@@ -175,3 +175,45 @@ fn energy_model_reproduces_fig23_direction() {
     assert!(unit.dram_power_mw > cpu.dram_power_mw);
     assert!(unit.total_mj() < cpu.total_mj());
 }
+
+#[test]
+fn bus_history_stays_flat_as_the_heap_doubles() {
+    use tracegc::hwgc::{ReclamationUnit, TraversalUnit};
+    use tracegc::mem::{ddr3::Ddr3Config, MemSystem};
+    use tracegc::workloads::{generate_streamed, StreamShape, StreamSpec};
+
+    // Peak bus intervals held over one scheduled mark + sweep.
+    let peak = |live_objects: usize| {
+        let spec = StreamSpec {
+            name: "bounded-bus",
+            shape: StreamShape::Forest {
+                mean_refs: 2.2,
+                array_fraction: 0.1,
+                popularity_s: 1.1,
+                hot_fraction: 0.1,
+                garbage_factor: 0.5,
+            },
+            live_objects,
+            window: 4096,
+            hot_set: 56,
+            roots: 64,
+            seed: 11,
+        };
+        let mut streamed = generate_streamed(&spec, LayoutKind::Bidirectional);
+        let heap = &mut streamed.heap;
+        let mut mem = MemSystem::ddr3(Ddr3Config::default());
+        let mark = TraversalUnit::new(GcUnitConfig::default(), heap).run_mark(heap, &mut mem, 0);
+        ReclamationUnit::new(GcUnitConfig::default(), heap).run_sweep(heap, &mut mem, mark.end);
+        (mem.peak_bus_intervals(), mem.stats().total_requests)
+    };
+    let (small, small_reqs) = peak(15_000);
+    let (large, large_reqs) = peak(30_000);
+    assert!(
+        large_reqs > small_reqs * 3 / 2,
+        "{small_reqs} -> {large_reqs} requests"
+    );
+    assert!(
+        large * 4 <= small * 5,
+        "retained bus intervals grew with the heap: {small} -> {large}"
+    );
+}
