@@ -37,8 +37,8 @@ pub struct Options {
     /// Maximum GC pauses measured per benchmark.
     pub pauses: usize,
     /// Worker threads used to run *experiments* concurrently (the outer
-    /// level of parallelism). Results are byte-identical for any value
-    /// (see `crate::parallel`).
+    /// level of parallelism). Results are byte-identical for any value;
+    /// see [`run_ids`].
     pub jobs: usize,
     /// Worker threads used to run the independent grid points *inside*
     /// one sweep-style experiment (the inner, partition level —
@@ -62,10 +62,7 @@ impl Default for Options {
             scale: 0.25,
             pauses: 3,
             jobs: 1,
-            // Seeded from TRACEGC_PAR_ENGINES (or any enclosing
-            // `with_exec` scope) so library entry points honor the same
-            // knob as the CLI flag.
-            par_engines: tracegc_sim::default_exec().workers(),
+            par_engines: 1,
             trace: false,
             fault: None,
         }
@@ -205,19 +202,26 @@ pub struct CompletedExperiment {
 /// This is the library entry point behind the CLI's `--jobs` flag; the
 /// determinism tests call it directly to assert that `jobs = 1` and
 /// `jobs = 8` produce identical tables. Unknown ids are rejected up
-/// front (before anything runs) with an error naming the offender.
+/// front (before anything runs) with an error naming the offender. A
+/// panic in one experiment stops the pool from starting any later one
+/// and propagates once the workers have joined
+/// ([`tracegc_sim::run_partitions`]).
 pub fn run_ids(ids: &[&str], opts: &Options) -> Result<Vec<CompletedExperiment>, String> {
     if let Some(bad) = ids.iter().find(|id| !ALL.contains(id)) {
         return Err(format!("unknown experiment '{bad}'"));
     }
-    Ok(crate::parallel::par_map(opts.jobs, ids.to_vec(), |id| {
-        let started = std::time::Instant::now();
-        let output = run(id, opts).expect("ids were validated against ALL");
-        CompletedExperiment {
-            output,
-            wall: started.elapsed(),
-        }
-    }))
+    Ok(tracegc_sim::run_partitions(
+        tracegc_sim::Exec::from_workers(opts.jobs),
+        ids.to_vec(),
+        |_, id| {
+            let started = std::time::Instant::now();
+            let output = run(id, opts).expect("ids were validated against ALL");
+            CompletedExperiment {
+                output,
+                wall: started.elapsed(),
+            }
+        },
+    ))
 }
 
 /// Folds one unit run's fault outcome into an experiment's metrics doc:

@@ -1,9 +1,9 @@
 //! A strict, value-retaining JSON parser and canonical serializer.
 //!
 //! Every machine-readable artifact this workspace writes — metrics
-//! sidecars, `BENCH_<n>.json`, `calibration.json`, Chrome traces — is
-//! emitted by a hand-rolled serializer (no external crates), so the
-//! reader on the other side must be equally self-contained. This module
+//! sidecars, `calibration.json`, Chrome traces — is emitted by a
+//! hand-rolled serializer (no external crates), so the reader on the
+//! other side must be equally self-contained. This module
 //! parses the full JSON grammar into a [`Json`] value while enforcing
 //! the rules the old syntax-only checker let slide:
 //!

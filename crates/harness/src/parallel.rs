@@ -1,49 +1,24 @@
-//! The experiment harness's worker pool: a thin façade over the
-//! simulator's bulk-synchronous partition runner
-//! ([`tracegc_sim::run_partitions`]) — no external crates.
+//! Tests of the worker-pool contract behind the CLI's `--jobs` flag.
 //!
-//! Determinism contract: [`par_map`] returns outputs in the order of its
-//! inputs regardless of how the OS schedules workers, and every work
-//! item builds its own simulator state from seeds, so results are
-//! byte-identical for any `jobs` value. `tests/determinism.rs` asserts
-//! this for the whole experiment registry.
-//!
-//! Failure contract: a panic in one work item poisons the shared work
-//! queue — no *new* item is started afterwards (in-flight ones finish),
-//! and the panic propagates to the caller once all workers have joined.
-//! A failed batch therefore stops promptly instead of burning through
-//! the rest of the registry.
-
-use tracegc_sim::{run_partitions, Exec};
-
-/// Applies `f` to every item on up to `jobs` worker threads, returning
-/// the results in input order.
-///
-/// `jobs` is clamped to `1..=items.len()`; with `jobs == 1` no threads
-/// are spawned and the items run inline in order. Work is distributed
-/// dynamically (an atomic cursor), so long items do not leave workers
-/// idle behind a static partition. A panic in `f` short-circuits the
-/// cursor (items not yet started are never started) and propagates to
-/// the caller once all workers have stopped.
-///
-/// # Examples
-///
-/// ```
-/// let squares = tracegc::parallel::par_map(4, (0u64..8).collect(), |x| x * x);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn par_map<T, U, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    run_partitions(Exec::from_workers(jobs), items, |_, item| f(item))
-}
+//! [`crate::experiments::run_ids`] fans experiments out with
+//! `run_partitions(Exec::from_workers(jobs), …)`. These tests pin what
+//! that composition promises for any `jobs` value: outputs come back in
+//! input order, `jobs` is clamped to `1..=items.len()`, owned items move
+//! through, and a panic stops later items from starting.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use tracegc_sim::{run_partitions, Exec};
+
+    /// The `run_ids` composition, applied to plain items.
+    fn par_map<T, U, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(T) -> U + Sync,
+    {
+        run_partitions(Exec::from_workers(jobs), items, |_, item| f(item))
+    }
 
     #[test]
     fn preserves_input_order() {
@@ -100,8 +75,6 @@ mod tests {
         // Two workers, four items. Item 0 blocks until item 1 has
         // started, then lingers long enough for item 1's panic to
         // poison the work queue; items 2 and 3 must never start.
-        // (Before the short-circuit fix, the worker finishing item 0
-        // kept draining the cursor and ran the whole remainder.)
         let started: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_map(2, vec![0usize, 1, 2, 3], |i| {

@@ -39,7 +39,6 @@
 pub mod heap;
 pub mod layout;
 pub mod pageset;
-pub mod snapshot;
 pub mod soc;
 pub mod space;
 pub mod verify;

@@ -13,7 +13,7 @@
 
 use tracegc_heap::{Heap, SocCtx};
 use tracegc_mem::MemSystem;
-use tracegc_sim::sched::{Engine, Exec, Partition, Policy, Scheduler};
+use tracegc_sim::sched::{Engine, Policy, Scheduler};
 use tracegc_sim::{Cycle, SimError};
 
 use crate::engine::MarkEngine;
@@ -123,101 +123,6 @@ pub fn try_run_multiprocess_mark(
     })
 }
 
-/// A process pinned to a *private* memory channel: the partition-safe
-/// counterpart of [`ProcessContext`] for [`Exec`]-parallel marking.
-///
-/// [`run_multiprocess_mark`] models the paper's §VII sharing — one
-/// datapath, one DDR3 controller — so its engines interact every
-/// service cycle and form one indivisible partition. When each process
-/// owns its unit *and* its memory system (a fleet of accelerators, one
-/// per channel), the marks provably never interact, and
-/// [`run_partitioned_mark`] may execute them on parallel host threads
-/// with byte-identical results for any worker count.
-#[derive(Debug)]
-pub struct PartitionedProcess {
-    /// The per-process traversal state and heap.
-    pub ctx: ProcessContext,
-    /// The process's private memory channel.
-    pub mem: MemSystem,
-}
-
-/// Marks every process's heap on its own unit and private memory
-/// channel, executing the processes as independent partitions under
-/// `exec`. Deterministic: results (cycle counts, ledgers, marks) are
-/// identical for every `exec`, and each process matches a solo
-/// [`TraversalUnit::run_mark`] exactly.
-///
-/// # Panics
-///
-/// Panics on an empty process list or on a fault in any context; use
-/// [`try_run_partitioned_mark`] to degrade gracefully.
-pub fn run_partitioned_mark(
-    procs: &mut [PartitionedProcess],
-    exec: Exec,
-    start: Cycle,
-) -> MultiProcessReport {
-    try_run_partitioned_mark(procs, exec, start).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`run_partitioned_mark`]: the first trap in
-/// *partition order* (not completion order — error surfacing stays
-/// deterministic under any `exec`) surfaces as a [`SimError`], with
-/// that process's unit frozen in its architected state.
-pub fn try_run_partitioned_mark(
-    procs: &mut [PartitionedProcess],
-    exec: Exec,
-    start: Cycle,
-) -> Result<MultiProcessReport, SimError> {
-    assert!(!procs.is_empty(), "need at least one process");
-    for p in procs.iter_mut() {
-        p.ctx.unit.begin(&p.ctx.heap, start);
-    }
-    let ends: Vec<Cycle> = {
-        let mut engines = Vec::with_capacity(procs.len());
-        let mut ctxs = Vec::with_capacity(procs.len());
-        for p in procs.iter_mut() {
-            let PartitionedProcess {
-                ctx: ProcessContext { unit, heap },
-                mem,
-            } = p;
-            engines.push(MarkEngine::new(unit, 0));
-            ctxs.push(SocCtx::new(mem, vec![&mut *heap]));
-        }
-        let parts: Vec<Partition<'_, SocCtx>> = engines
-            .iter_mut()
-            .zip(ctxs.iter_mut())
-            .map(|(e, ctx)| Partition {
-                engines: vec![e as &mut (dyn Engine<SocCtx> + Send)],
-                ctx,
-            })
-            .collect();
-        Scheduler::new(Policy::Lockstep)
-            .try_run_partitioned(exec, parts, start)?
-            .into_iter()
-            .map(|r| r.end)
-            .collect()
-    };
-    // Surface faults in partition order: first a latched memory fault,
-    // then a frozen unit trap.
-    for p in procs.iter_mut() {
-        if let Some(e) = p.mem.take_fault() {
-            return Err(Trap::from_sim_error(&e).into());
-        }
-    }
-    if let Some(t) = procs.iter().find_map(|p| p.ctx.unit.trap()) {
-        return Err(t.into());
-    }
-    let per_process = procs
-        .iter()
-        .zip(&ends)
-        .map(|(p, &end)| p.ctx.unit.result_at(start, end))
-        .collect();
-    Ok(MultiProcessReport {
-        per_process,
-        end: *ends.iter().max().expect("non-empty"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,57 +221,5 @@ mod tests {
         let report = run_multiprocess_mark(&mut procs, &mut mem, 0);
         // The small process must finish well before the big one.
         assert!(report.per_process[1].end < report.per_process[0].end);
-    }
-
-    fn partitioned(n: usize, seed: u64) -> PartitionedProcess {
-        PartitionedProcess {
-            ctx: context(n, seed),
-            mem: MemSystem::ddr3(Default::default()),
-        }
-    }
-
-    #[test]
-    fn partitioned_mark_is_exec_invariant_and_matches_solo_runs() {
-        use tracegc_sim::Exec;
-        let fingerprint = |r: &MultiProcessReport| {
-            r.per_process
-                .iter()
-                .map(|p| {
-                    format!(
-                        "end={};marked={};stalls={:?}|",
-                        p.end, p.objects_marked, p.stalls
-                    )
-                })
-                .collect::<String>()
-        };
-        // The reference: each process marked solo on its own channel.
-        let solo: Vec<String> = (0..3)
-            .map(|i| {
-                let mut p = partitioned(700 + 200 * i, i as u64);
-                let r = p.ctx.unit.run_mark(&mut p.ctx.heap, &mut p.mem, 0);
-                format!(
-                    "end={};marked={};stalls={:?}|",
-                    r.end, r.objects_marked, r.stalls
-                )
-            })
-            .collect();
-        for exec in [
-            Exec::Serial,
-            Exec::Parallel { workers: 2 },
-            Exec::Parallel { workers: 8 },
-        ] {
-            let mut procs: Vec<PartitionedProcess> = (0..3)
-                .map(|i| partitioned(700 + 200 * i, i as u64))
-                .collect();
-            let report = run_partitioned_mark(&mut procs, exec, 0);
-            assert_eq!(fingerprint(&report), solo.concat(), "{exec:?}");
-            assert_eq!(
-                report.end,
-                report.per_process.iter().map(|p| p.end).max().unwrap()
-            );
-            for p in &procs {
-                check_marks_match_reachability(&p.ctx.heap).unwrap();
-            }
-        }
     }
 }

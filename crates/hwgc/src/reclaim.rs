@@ -19,7 +19,7 @@ use tracegc_heap::layout::{
 use tracegc_heap::{Heap, SocCtx};
 use tracegc_mem::{MemReq, MemSystem, Source};
 use tracegc_sim::metrics::DEFAULT_TRACE_CAPACITY;
-use tracegc_sim::sched::{Engine, Exec, Partition, Policy, Progress, Scheduler};
+use tracegc_sim::sched::{Engine, Policy, Progress, Scheduler};
 use tracegc_sim::{Cycle, EventTrace, StallAccounting, StallReason};
 use tracegc_vmem::{Requester, Translator};
 
@@ -517,59 +517,6 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
     }
 }
 
-/// One independent sweep: a reclamation unit, the heap it sweeps and a
-/// *private* memory channel.
-///
-/// Within one [`ReclamationUnit`] the sweeper lanes share line buffers
-/// and a memory controller every cycle, so a lane array is one
-/// indivisible partition; what parallelizes across host threads are
-/// whole sweeps over disjoint heaps on disjoint channels — see
-/// [`run_partitioned_sweep`].
-#[derive(Debug)]
-pub struct SweepPartition {
-    /// The partition's reclamation unit.
-    pub unit: ReclamationUnit,
-    /// The heap being swept.
-    pub heap: Heap,
-    /// The partition's private memory channel.
-    pub mem: MemSystem,
-}
-
-/// Sweeps every partition's heap on its own unit and memory channel,
-/// executing the sweeps as independent partitions under `exec`.
-///
-/// Deterministic: results come back in partition order and are
-/// byte-identical for every `exec` (each equals a solo
-/// [`ReclamationUnit::run_sweep`]); each [`ReclaimResult`]'s ledger
-/// stays closed (`busy + Σ stalls == cycles × lanes`), so any
-/// partition-order merge of the ledgers closes too.
-pub fn run_partitioned_sweep(
-    parts: &mut [SweepPartition],
-    exec: Exec,
-    start: Cycle,
-) -> Vec<ReclaimResult> {
-    assert!(!parts.is_empty(), "need at least one sweep partition");
-    let mut engines = Vec::with_capacity(parts.len());
-    let mut ctxs = Vec::with_capacity(parts.len());
-    for p in parts.iter_mut() {
-        let SweepPartition { unit, heap, mem } = p;
-        engines.push(SweepEngine::new(unit, 0, start));
-        ctxs.push(SocCtx::new(mem, vec![&mut *heap]));
-    }
-    let partitions: Vec<Partition<'_, SocCtx>> = engines
-        .iter_mut()
-        .zip(ctxs.iter_mut())
-        .map(|(e, ctx)| Partition {
-            engines: vec![e as &mut (dyn Engine<SocCtx> + Send)],
-            ctx,
-        })
-        .collect();
-    Scheduler::new(Policy::Lockstep)
-        .try_run_partitioned(exec, partitions, start)
-        .unwrap_or_else(|e| panic!("{e}"));
-    engines.into_iter().map(SweepEngine::into_result).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,48 +680,5 @@ mod tests {
             (r.end, r.cells_freed, r.line_reads)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn partitioned_sweep_is_exec_invariant_and_matches_solo_runs() {
-        use tracegc_sim::Exec;
-        let sizes = [1200usize, 2400, 800];
-        // The reference: each heap swept solo on its own channel.
-        let solo: Vec<ReclaimResult> = sizes
-            .iter()
-            .map(|&n| {
-                let mut heap = marked_heap(n);
-                let mut mem = MemSystem::ddr3(Default::default());
-                let mut unit = ReclamationUnit::new(GcUnitConfig::default(), &heap);
-                unit.run_sweep(&mut heap, &mut mem, 0)
-            })
-            .collect();
-        for exec in [Exec::Serial, Exec::Parallel { workers: 4 }] {
-            let mut parts: Vec<SweepPartition> = sizes
-                .iter()
-                .map(|&n| {
-                    let heap = marked_heap(n);
-                    let unit = ReclamationUnit::new(GcUnitConfig::default(), &heap);
-                    SweepPartition {
-                        unit,
-                        heap,
-                        mem: MemSystem::ddr3(Default::default()),
-                    }
-                })
-                .collect();
-            let results = run_partitioned_sweep(&mut parts, exec, 0);
-            assert_eq!(results, solo, "{exec:?}");
-            // Each partition's ledger closes, so the merged one does too.
-            let mut merged = StallAccounting::default();
-            for r in &results {
-                assert_eq!(r.stalls.total(), r.cycles() * r.lanes);
-                merged.merge(&r.stalls);
-            }
-            let lane_cycles: u64 = results.iter().map(|r| r.cycles() * r.lanes).sum();
-            assert_eq!(merged.total(), lane_cycles);
-            for p in &parts {
-                check_free_lists(&p.heap).unwrap();
-            }
-        }
     }
 }

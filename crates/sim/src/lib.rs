@@ -62,7 +62,7 @@ pub use queue::BoundedQueue;
 pub use rng::{Rng, SplitMix64, StdRng};
 pub use sched::{
     default_exec, default_pacing, run_partitions, set_default_exec, set_default_pacing, with_exec,
-    with_pacing, Engine, Exec, Pacing, Partition, Policy, Progress, SchedCtx, Scheduler, SocReport,
+    with_pacing, Engine, Exec, Pacing, Policy, Progress, SchedCtx, Scheduler, SocReport,
 };
 pub use stats::{BandwidthMeter, Counter, Histogram, LatencyRecorder};
 

@@ -76,44 +76,37 @@
 //! would let the two pacings step engines at different service cycles,
 //! breaking pacing equivalence.
 //!
-//! The process-wide default pacing is [`Pacing::FastForward`], can be
-//! set at startup from the `TRACEGC_SCHED` environment variable
-//! (`lockstep` / `fastforward`), overridden per process via
-//! [`set_default_pacing`] (the experiment driver's `--sched` flag), per
-//! scope via [`with_pacing`] (how the differential tests run one driver
-//! both ways), and per scheduler via [`Scheduler::pacing`].
+//! A driver that builds its own scheduler takes its pacing from
+//! [`default_pacing`]: the innermost [`with_pacing`] scope on the
+//! calling thread (how the differential tests run one driver both
+//! ways), else the process-wide value last given to
+//! [`set_default_pacing`] (the experiment driver's `--sched` flag),
+//! else [`Pacing::FastForward`]. [`Scheduler::pacing`] overrides it for
+//! one scheduler.
 //!
 //! # Exec: bulk-synchronous partition parallelism
 //!
 //! Orthogonal to both [`Policy`] (who is served within a schedule) and
 //! [`Pacing`] (how the clock advances between service rounds), an
 //! [`Exec`] selects how many *host* worker threads execute independent
-//! partitions of the engine set. The partitioning rule is strict:
-//! engines that share a scheduler context (one [`Scheduler::run`] call —
-//! in the SoC, one DDR3 controller) interact at every service round
-//! through that context, so a shared-context schedule is one
-//! indivisible partition. What can run in parallel are *whole
-//! partitions*: disjoint `(engines, ctx)` groups that provably never
-//! exchange state — the multi-unit sweep's grid points, faultsweep's
-//! independent fault-rate runs, per-process marks on private memory
-//! channels. [`run_partitions`] executes such groups on up to
-//! `workers` threads between two barriers (the fork at submission and
-//! the join before results are read), returns results in partition
-//! order regardless of OS scheduling, and short-circuits the work
-//! queue when any partition panics. [`Scheduler::try_run_partitioned`]
-//! is the typed entry point: each [`Partition`] owns its engine set
-//! *and* its context, so non-interaction is enforced by construction,
-//! and the per-partition reports and stall ledgers come back in
-//! partition order for a deterministic merge (`busy + Σ stalls ==
-//! cycles × lanes` closes per partition, hence over any merge order —
-//! the harness always merges in partition order so sidecars are
-//! byte-identical for every worker count).
+//! partitions of the work. The partitioning rule is strict: engines
+//! that share a scheduler context (one [`Scheduler::run`] call — in the
+//! SoC, one DDR3 controller) interact at every service round through
+//! that context, so a shared-context schedule is one indivisible
+//! partition. What can run in parallel are whole schedules that
+//! provably never exchange state, each building its own context — the
+//! multi-unit sweep's grid points, faultsweep's independent fault-rate
+//! runs, whole experiments of a batch. [`run_partitions`] executes such
+//! work items on up to `workers` threads between two barriers (the fork
+//! at submission and the join before results are read), returns results
+//! in partition order regardless of OS scheduling, and short-circuits
+//! the work queue when any partition panics. Callers merge results
+//! (stall ledgers included) in partition order, so sidecars are
+//! byte-identical for every worker count.
 //!
-//! The process-wide default is [`Exec::Serial`], can be set at startup
-//! from the `TRACEGC_PAR_ENGINES` environment variable (a worker
-//! count), overridden per process via [`set_default_exec`] (the
-//! experiment driver's `--par-engines` flag) and per scope via
-//! [`with_exec`].
+//! [`default_exec`] resolves the same way as the pacing: the innermost
+//! [`with_exec`] scope, else the value last given to
+//! [`set_default_exec`], else [`Exec::Serial`].
 //!
 //! # Issue floor: retiring memory history
 //!
@@ -337,7 +330,7 @@ pub enum Pacing {
 }
 
 impl Pacing {
-    /// Parses a CLI/env spelling (`lockstep` / `fastforward`, with
+    /// Parses a CLI spelling (`lockstep` / `fastforward`, with
     /// `fast-forward` accepted as an alias).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -356,8 +349,8 @@ impl Pacing {
     }
 }
 
-/// Process-wide default pacing: 0 = uninitialized, else `Pacing` + 1.
-static DEFAULT_PACING: AtomicU8 = AtomicU8::new(0);
+/// Process-wide default pacing, stored as its discriminant.
+static DEFAULT_PACING: AtomicU8 = AtomicU8::new(Pacing::FastForward as u8);
 
 thread_local! {
     /// Scoped override installed by [`with_pacing`]; beats the process
@@ -365,38 +358,25 @@ thread_local! {
     static PACING_OVERRIDE: std::cell::Cell<Option<Pacing>> = const { std::cell::Cell::new(None) };
 }
 
-fn decode_pacing(v: u8) -> Option<Pacing> {
-    match v {
-        1 => Some(Pacing::Lockstep),
-        2 => Some(Pacing::FastForward),
-        _ => None,
-    }
-}
-
 /// The pacing a [`Scheduler::new`] starts with: a [`with_pacing`] scope
 /// if one is active, else the process default ([`set_default_pacing`],
-/// falling back to the `TRACEGC_SCHED` environment variable, falling
-/// back to [`Pacing::FastForward`]).
+/// initially [`Pacing::FastForward`]).
 pub fn default_pacing() -> Pacing {
-    if let Some(p) = PACING_OVERRIDE.with(std::cell::Cell::get) {
-        return p;
-    }
-    if let Some(p) = decode_pacing(DEFAULT_PACING.load(Ordering::Relaxed)) {
-        return p;
-    }
-    let p = std::env::var("TRACEGC_SCHED")
-        .ok()
-        .as_deref()
-        .and_then(Pacing::parse)
-        .unwrap_or(Pacing::FastForward);
-    DEFAULT_PACING.store(p as u8 + 1, Ordering::Relaxed);
-    p
+    PACING_OVERRIDE
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| {
+            if DEFAULT_PACING.load(Ordering::Relaxed) == Pacing::Lockstep as u8 {
+                Pacing::Lockstep
+            } else {
+                Pacing::FastForward
+            }
+        })
 }
 
 /// Sets the process-wide default pacing (the experiment driver's
 /// `--sched` flag calls this before spawning its worker pool).
 pub fn set_default_pacing(p: Pacing) {
-    DEFAULT_PACING.store(p as u8 + 1, Ordering::Relaxed);
+    DEFAULT_PACING.store(p as u8, Ordering::Relaxed);
 }
 
 /// Runs `f` with `p` as this thread's default pacing, restoring the
@@ -447,8 +427,8 @@ impl Exec {
     }
 }
 
-/// Process-wide default exec: 0 = uninitialized, else workers + 1.
-static DEFAULT_EXEC: AtomicUsize = AtomicUsize::new(0);
+/// Process-wide default exec, stored as its worker budget.
+static DEFAULT_EXEC: AtomicUsize = AtomicUsize::new(1);
 
 thread_local! {
     /// Scoped override installed by [`with_exec`]; beats the process
@@ -456,32 +436,19 @@ thread_local! {
     static EXEC_OVERRIDE: std::cell::Cell<Option<Exec>> = const { std::cell::Cell::new(None) };
 }
 
-/// The exec a partitioned driver starts with: a [`with_exec`] scope if
-/// one is active, else the process default ([`set_default_exec`],
-/// falling back to the `TRACEGC_PAR_ENGINES` environment variable,
-/// falling back to [`Exec::Serial`]).
+/// The ambient exec for callers of [`run_partitions`] that take no
+/// explicit worker budget: a [`with_exec`] scope if one is active, else
+/// the process default ([`set_default_exec`], initially
+/// [`Exec::Serial`]).
 pub fn default_exec() -> Exec {
-    if let Some(e) = EXEC_OVERRIDE.with(std::cell::Cell::get) {
-        return e;
-    }
-    match DEFAULT_EXEC.load(Ordering::Relaxed) {
-        0 => {
-            let e = std::env::var("TRACEGC_PAR_ENGINES")
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .map(Exec::from_workers)
-                .unwrap_or(Exec::Serial);
-            DEFAULT_EXEC.store(e.workers() + 1, Ordering::Relaxed);
-            e
-        }
-        v => Exec::from_workers(v - 1),
-    }
+    EXEC_OVERRIDE
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| Exec::from_workers(DEFAULT_EXEC.load(Ordering::Relaxed)))
 }
 
-/// Sets the process-wide default exec (the experiment driver's
-/// `--par-engines` flag calls this before running the registry).
+/// Sets the process-wide default exec (see [`default_exec`]).
 pub fn set_default_exec(e: Exec) {
-    DEFAULT_EXEC.store(e.workers() + 1, Ordering::Relaxed);
+    DEFAULT_EXEC.store(e.workers(), Ordering::Relaxed);
 }
 
 /// Runs `f` with `e` as this thread's default exec, restoring the
@@ -509,10 +476,10 @@ impl Drop for PoisonOnPanic<'_> {
 /// Executes independent partitions under `exec`, returning results in
 /// partition order.
 ///
-/// This is the bulk-synchronous superstep primitive behind
-/// [`Scheduler::try_run_partitioned`] and the harness's worker pool:
-/// the call is bracketed by two barriers (workers fork on entry and all
-/// join before any result is read), partitions are claimed dynamically
+/// This is the bulk-synchronous superstep primitive behind the
+/// harness's experiment pool and its sweep grids: the call is bracketed
+/// by two barriers (workers fork on entry and all join before any
+/// result is read), partitions are claimed dynamically
 /// from an atomic cursor so long partitions do not strand workers
 /// behind a static split, and each result lands in the slot of its
 /// input index, so the output order — and therefore every downstream
@@ -582,18 +549,6 @@ where
                 .expect("every partition was executed")
         })
         .collect()
-}
-
-/// One independent engine group for [`Scheduler::try_run_partitioned`]:
-/// the engines *and* the context they share. Because every partition
-/// owns its context exclusively (`&mut`), two partitions cannot
-/// exchange state through a scheduler context by construction — the
-/// type-level form of the module docs' partitioning rule.
-pub struct Partition<'a, Ctx> {
-    /// The partition's engine set (one shared-context schedule).
-    pub engines: Vec<&'a mut (dyn Engine<Ctx> + Send)>,
-    /// The context exclusively owned by this partition.
-    pub ctx: &'a mut Ctx,
 }
 
 /// Default no-progress watchdog: panic after this many consecutive
@@ -709,45 +664,6 @@ impl Scheduler {
                 self.run_synchronous(engines, ctx, start, None, (*period).max(1))
             }
         }
-    }
-
-    /// Runs independent engine partitions to completion from cycle
-    /// `start`, each under this scheduler's policy/pacing/watchdog, on
-    /// up to [`Exec::workers`] host threads.
-    ///
-    /// Each [`Partition`] is one shared-context schedule — exactly one
-    /// [`Scheduler::try_run`] call — so partitions provably never
-    /// interact (see the module docs). Reports come back in partition
-    /// order regardless of `exec` or OS scheduling; on error the first
-    /// failing partition *in partition order* wins, so error surfacing
-    /// is deterministic too.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first partition's [`SimError::Deadlock`] in
-    /// partition order, if any partition wedges.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the caller errors [`Scheduler::try_run`] rejects
-    /// (empty engine set, no foreground engine, bad priority order) in
-    /// any partition, and propagates panics out of engine code.
-    pub fn try_run_partitioned<Ctx: SchedCtx + Send>(
-        &self,
-        exec: Exec,
-        parts: Vec<Partition<'_, Ctx>>,
-        start: Cycle,
-    ) -> Result<Vec<SocReport>, SimError> {
-        run_partitions(exec, parts, |_, p| {
-            let Partition { mut engines, ctx } = p;
-            let mut dyns: Vec<&mut dyn Engine<Ctx>> = engines
-                .iter_mut()
-                .map(|e| &mut **e as &mut dyn Engine<Ctx>)
-                .collect();
-            self.try_run(&mut dyns, ctx, start)
-        })
-        .into_iter()
-        .collect()
     }
 
     /// Lockstep / priority / throttled: every live engine is offered
@@ -1603,13 +1519,26 @@ mod tests {
 
     #[test]
     fn run_partitions_preserves_partition_order_for_any_worker_count() {
-        let items: Vec<u64> = (0..23).collect();
-        let serial = run_partitions(Exec::Serial, items.clone(), |i, x| (i as u64) * 100 + x * 2);
-        for workers in [2, 3, 8] {
-            let par = run_partitions(Exec::Parallel { workers }, items.clone(), |i, x| {
-                (i as u64) * 100 + x * 2
-            });
-            assert_eq!(par, serial, "workers={workers}");
+        // The empty list and lists shorter than the worker budget (the
+        // pool clamps to one worker per item) keep the same contract.
+        for n in [23u64, 2, 0] {
+            let items: Vec<u64> = (0..n).collect();
+            let expected: Vec<u64> = items.iter().map(|&x| x * 100 + x * 2).collect();
+            let serial =
+                run_partitions(Exec::Serial, items.clone(), |i, x| (i as u64) * 100 + x * 2);
+            assert_eq!(serial, expected, "n={n}");
+            for workers in [2, 3, 8, 64] {
+                let par = run_partitions(Exec::Parallel { workers }, items.clone(), |i, x| {
+                    (i as u64) * 100 + x * 2
+                });
+                assert_eq!(par, serial, "n={n} workers={workers}");
+            }
+        }
+        // Owned, non-`Copy` items move through the pool by value.
+        for workers in [1, 2, 8] {
+            let words = vec![String::from("a"), String::from("bb"), String::from("ccc")];
+            let lens = run_partitions(Exec::from_workers(workers), words, |i, w| (i, w.len()));
+            assert_eq!(lens, vec![(0, 1), (1, 2), (2, 3)], "workers={workers}");
         }
     }
 
@@ -1646,97 +1575,5 @@ mod tests {
             !started[2].load(Ordering::SeqCst) && !started[3].load(Ordering::SeqCst),
             "partitions after the panic must not be started"
         );
-    }
-
-    #[test]
-    fn try_run_partitioned_matches_serial_runs_exactly() {
-        let build = || {
-            (0..5)
-                .map(|i| Toy::new("toy", 3 + i as u64))
-                .collect::<Vec<_>>()
-        };
-        let serial: Vec<SocReport> = build()
-            .iter_mut()
-            .map(|t| {
-                Scheduler::new(Policy::Lockstep)
-                    .try_run(&mut [t as &mut dyn Engine<_>], &mut Vec::new(), 0)
-                    .unwrap()
-            })
-            .collect();
-        for exec in [Exec::Serial, Exec::Parallel { workers: 4 }] {
-            let mut toys = build();
-            let mut ctxs: Vec<Vec<&'static str>> = (0..toys.len()).map(|_| Vec::new()).collect();
-            let parts: Vec<Partition<'_, Vec<&'static str>>> = toys
-                .iter_mut()
-                .zip(ctxs.iter_mut())
-                .map(|(t, ctx)| Partition {
-                    engines: vec![t as &mut (dyn Engine<_> + Send)],
-                    ctx,
-                })
-                .collect();
-            let reports = Scheduler::new(Policy::Lockstep)
-                .try_run_partitioned(exec, parts, 0)
-                .unwrap();
-            assert_eq!(reports, serial, "{exec:?}");
-            // Ledgers merge deterministically in partition order and
-            // stay closed: busy + stalls == cycles per engine.
-            let mut merged = StallAccounting::default();
-            for (t, r) in toys.iter().zip(&reports) {
-                assert_eq!(t.ledger.total(), r.cycles());
-                merged.merge(&t.ledger);
-            }
-            assert_eq!(merged.total(), reports.iter().map(SocReport::cycles).sum());
-        }
-    }
-
-    #[test]
-    fn try_run_partitioned_surfaces_the_first_deadlock_in_partition_order() {
-        struct Stuck;
-        impl Engine<()> for Stuck {
-            fn name(&self) -> &'static str {
-                "stuck"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                Progress::Stalled
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                None
-            }
-        }
-        /// Completes after `n` cycles.
-        struct Countdown(u64);
-        impl Engine<()> for Countdown {
-            fn name(&self) -> &'static str {
-                "countdown"
-            }
-            fn step(&mut self, _now: Cycle, _ctx: &mut ()) -> Progress {
-                if self.0 == 0 {
-                    return Progress::Done;
-                }
-                self.0 -= 1;
-                Progress::Advanced
-            }
-            fn next_event_at(&self) -> Option<Cycle> {
-                None
-            }
-        }
-        // Partition 0 completes; partition 1 deadlocks immediately.
-        let mut a = Countdown(4);
-        let mut stuck = Stuck;
-        let (mut ctx_a, mut ctx_b) = ((), ());
-        let parts = vec![
-            Partition {
-                engines: vec![&mut a as &mut (dyn Engine<()> + Send)],
-                ctx: &mut ctx_a,
-            },
-            Partition {
-                engines: vec![&mut stuck as &mut (dyn Engine<()> + Send)],
-                ctx: &mut ctx_b,
-            },
-        ];
-        let err = Scheduler::new(Policy::Lockstep)
-            .try_run_partitioned(Exec::Parallel { workers: 2 }, parts, 0)
-            .unwrap_err();
-        assert!(matches!(err, SimError::Deadlock { .. }));
     }
 }

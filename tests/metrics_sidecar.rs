@@ -46,9 +46,9 @@ fn every_sidecar_is_valid_and_attributed() {
     }
 }
 
-/// Crossed determinism property (reusing `tracegc::nondet`'s premise
-/// that sidecars carry no host-measured fields): every registry
-/// experiment's CSVs and metrics sidecar are byte-identical for every
+/// Crossed determinism property (sidecars carry no host-measured
+/// fields): every registry experiment's CSVs and metrics sidecar are
+/// byte-identical for every
 /// `--par-engines` ∈ {1, 2, 4, 8} × `--jobs` ∈ {1, 4} — the two levels
 /// of parallelism compose without perturbing a single output byte.
 #[test]
@@ -113,150 +113,5 @@ fn forced_scale_sidecars_are_valid() {
             .check_invariants()
             .unwrap_or_else(|e| panic!("{id}: {e}"));
         json_syntax_check(&out.metrics.to_json()).unwrap();
-    }
-}
-
-/// The `experiments --bench` document (`BENCH_<issue>.json`): schema
-/// tag, JSON well-formedness, deterministic bytes, totals and the
-/// derived speedup fields.
-#[test]
-fn bench_doc_schema_and_totals() {
-    use tracegc::metrics::{write_bench, BENCH_SCHEMA};
-    let doc = sample_bench_doc();
-    assert_eq!(doc.file_name(), "BENCH_10.json");
-    assert_eq!(doc.total_sim_cycles(), 3_000_000);
-    assert!((doc.total_speedup() - 6.0).abs() < 1e-9);
-    assert!((doc.total_speedup_parallel() - 3.0).abs() < 1e-9);
-    let json = doc.to_json();
-    json_syntax_check(&json).expect("bench doc must be well-formed JSON");
-    assert!(json.contains(BENCH_SCHEMA), "missing schema tag");
-    for key in [
-        "\"issue\": 10",
-        "\"par_engines\": 4",
-        "\"host_cpus\": 8",
-        "\"experiments\": [",
-        "\"wall_s_fastforward\"",
-        "\"wall_s_lockstep\"",
-        "\"wall_s_parallel\"",
-        "\"speedup\"",
-        "\"speedup_parallel\"",
-        "\"cycles_per_sec_fastforward\"",
-        "\"cycles_per_sec_parallel\"",
-        "\"peak_rss_kb_fastforward\": 120000",
-        "\"peak_rss_kb_lockstep\": 118000",
-        "\"peak_rss_kb_parallel\": 121000",
-        "\"total\"",
-    ] {
-        assert!(json.contains(key), "bench doc missing {key}:\n{json}");
-    }
-    assert_eq!(json, doc.to_json(), "bench rendering must be deterministic");
-
-    let dir = std::env::temp_dir().join(format!("tracegc-bench-{}", std::process::id()));
-    let path = write_bench(&dir, &doc).expect("bench written");
-    assert!(path.ends_with("BENCH_10.json"));
-    assert_eq!(
-        std::fs::read_to_string(&path).expect("readable"),
-        doc.to_json()
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-fn sample_bench_doc() -> tracegc::metrics::BenchDoc {
-    use tracegc::metrics::{BenchDoc, BenchEntry};
-    BenchDoc {
-        issue: 10,
-        jobs: 4,
-        par_engines: 4,
-        scale: 0.25,
-        pauses: 3,
-        host_cpus: Some(8),
-        peak_rss_kb_fastforward: Some(120_000),
-        peak_rss_kb_lockstep: Some(118_000),
-        peak_rss_kb_parallel: Some(121_000),
-        entries: vec![
-            BenchEntry {
-                id: "fig15".into(),
-                sim_cycles: 1_000_000,
-                wall_s_fastforward: 0.5,
-                wall_s_lockstep: 4.0,
-                wall_s_parallel: 0.25,
-            },
-            BenchEntry {
-                id: "fig20".into(),
-                sim_cycles: 2_000_000,
-                wall_s_fastforward: 1.0,
-                wall_s_lockstep: 5.0,
-                wall_s_parallel: 0.25,
-            },
-        ],
-    }
-}
-
-/// The nondeterministic-field exclusion list (`tracegc::nondet`) is
-/// *exact*: every listed field actually occurs in a bench document
-/// (nothing on the list is dead), scrubbing removes them all, and the
-/// deterministic artifacts — metrics sidecars — contain none of them,
-/// so scrubbing those is byte-identity. This is what lets `--bench`'s
-/// byte-equality gate and these tests share one source of truth
-/// without silently weakening either.
-#[test]
-fn nondet_exclusion_list_is_exact() {
-    use tracegc::json::{self, Json};
-    use tracegc::nondet::{is_nondet_field, scrub_json, NONDET_FIELDS};
-
-    fn field_names(v: &Json, out: &mut Vec<String>) {
-        match v {
-            Json::Obj(members) => {
-                for (k, val) in members {
-                    out.push(k.clone());
-                    field_names(val, out);
-                }
-            }
-            Json::Arr(elems) => elems.iter().for_each(|e| field_names(e, out)),
-            _ => {}
-        }
-    }
-
-    // Every listed field occurs in the bench doc.
-    let bench = sample_bench_doc().to_json();
-    let mut bench_fields = Vec::new();
-    field_names(&json::parse(&bench).unwrap(), &mut bench_fields);
-    for f in NONDET_FIELDS {
-        assert!(
-            bench_fields.iter().any(|b| b == f),
-            "exclusion-listed field '{f}' never occurs in a bench doc — stale list"
-        );
-    }
-
-    // Scrubbing removes exactly the listed fields, nothing else.
-    let scrubbed = scrub_json(&bench).unwrap();
-    let mut kept = Vec::new();
-    field_names(&json::parse(&scrubbed).unwrap(), &mut kept);
-    assert!(kept.iter().all(|k| !is_nondet_field(k)));
-    let expected: Vec<String> = bench_fields
-        .iter()
-        .filter(|f| !is_nondet_field(f))
-        .cloned()
-        .collect();
-    assert_eq!(kept, expected, "scrub removed a field not on the list");
-
-    // Deterministic artifacts carry no excluded fields: scrub is a
-    // value-level identity on every smoke sidecar.
-    for id in smoke_ids() {
-        let out = run(id, &smoke_opts()).unwrap();
-        let sidecar = out.metrics.to_json();
-        let mut fields = Vec::new();
-        field_names(&json::parse(&sidecar).unwrap(), &mut fields);
-        for f in &fields {
-            assert!(
-                !is_nondet_field(f),
-                "{id}: deterministic sidecar contains excluded field '{f}'"
-            );
-        }
-        assert_eq!(
-            scrub_json(&sidecar).unwrap(),
-            json::parse(&sidecar).unwrap().to_compact(),
-            "{id}: scrub must be identity on a deterministic sidecar"
-        );
     }
 }
