@@ -56,11 +56,12 @@ impl ReclaimResult {
     }
 }
 
-/// A per-sweeper line buffer: the 64-byte line at `line_va` is valid from
-/// cycle `ready`.
+/// A per-sweeper line buffer: the 64-byte line at `line_va` (physical
+/// `line_pa`) is valid from cycle `ready`.
 #[derive(Debug, Clone, Copy)]
 struct LineBuf {
     line_va: u64,
+    line_pa: u64,
     ready: Cycle,
     last_use: u64,
 }
@@ -85,6 +86,8 @@ struct BlockJob {
     next_cell: u64,
     /// Tail of the free list being built (0 = list empty so far).
     tail: u64,
+    /// Physical address of `tail`.
+    tail_pa: u64,
     free_head: u64,
     free_cells: u64,
 }
@@ -139,7 +142,8 @@ impl ReclamationUnit {
     }
 
     /// Reads the 64-byte line containing `va` through the sweeper's line
-    /// buffers; returns the cycle the word is available.
+    /// buffers; returns the cycle the word is available and its physical
+    /// address, so the caller's functional access needs no second walk.
     #[allow(clippy::too_many_arguments)]
     fn line_read(
         sweeper: &mut Sweeper,
@@ -150,7 +154,7 @@ impl ReclamationUnit {
         ptw_cache: &mut tracegc_mem::Cache,
         result: &mut ReclaimResult,
         va: u64,
-    ) -> Cycle {
+    ) -> (Cycle, u64) {
         let line_va = va & !63;
         sweeper.use_clock += 1;
         let clock = sweeper.use_clock;
@@ -161,7 +165,7 @@ impl ReclamationUnit {
                 StallReason::MemLatency,
                 buf.ready.saturating_sub(sweeper.now),
             );
-            return buf.ready;
+            return (buf.ready, buf.line_pa + (va & 63));
         }
         let before = translator.stats();
         let (pa, ready) = translator
@@ -197,6 +201,7 @@ impl ReclamationUnit {
         result.line_reads += 1;
         let entry = LineBuf {
             line_va,
+            line_pa: pa,
             ready: done,
             last_use: clock,
         };
@@ -212,7 +217,7 @@ impl ReclamationUnit {
                 .expect("buffers non-empty");
             sweeper.bufs[lru] = entry;
         }
-        done
+        (done, pa + (va & 63))
     }
 
     /// Processes one cell of the sweeper's current block.
@@ -247,71 +252,73 @@ impl ReclamationUnit {
         sweeper.now += cfg.sweeper_cell_cycles;
         result.stalls.busy(cfg.sweeper_cell_cycles);
 
-        // Read the cell-start word and classify.
-        let (cell_copy, layout) = (cell, heap.layout());
-        let t = {
-            let job_now = sweeper.now;
-            let _ = job_now;
-            Self::line_read(
-                sweeper, heap, mem, line_bufs, translator, ptw_cache, result, cell_copy,
-            )
-        };
+        // Read the cell-start word and classify. Functional accesses use
+        // the PA the modelled translation returned; debug builds check it
+        // against a fresh page-table walk.
+        let layout = heap.layout();
+        let (t, cell_pa) = Self::line_read(
+            sweeper, heap, mem, line_bufs, translator, ptw_cache, result, cell,
+        );
+        debug_assert_eq!(cell_pa, heap.va_to_pa(cell));
         sweeper.now = sweeper.now.max(t);
-        let start_word = heap.read_va(cell);
+        let start_word = heap.phys.read_u64(cell_pa);
 
         // Re-borrow the job after the heap accesses.
         let job = sweeper.block.as_mut().expect("has a block");
         match decode_cell_start(start_word) {
             CellStart::Free { .. } => {
                 // Already free: re-link onto the new list.
-                Self::append_free(heap, mem, sweeper.now, job, cell);
+                Self::append_free(heap, mem, sweeper.now, job, cell, cell_pa);
             }
             CellStart::Live { nrefs, .. } => {
                 let header_va = match layout {
                     LayoutKind::Bidirectional => bidi::header_of_cell(cell, nrefs),
                     LayoutKind::Conventional => conv::header_of_cell(cell),
                 };
-                let t = Self::line_read(
+                let (t, header_pa) = Self::line_read(
                     sweeper, heap, mem, line_bufs, translator, ptw_cache, result, header_va,
                 );
+                debug_assert_eq!(header_pa, heap.va_to_pa(header_va));
                 sweeper.now = sweeper.now.max(t);
-                let header = Header::from_raw(heap.read_va(header_va));
+                let header = Header::from_raw(heap.phys.read_u64(header_pa));
                 let job = sweeper.block.as_mut().expect("has a block");
                 if header.is_marked() {
                     // Reachable: clear the mark (posted 8-byte write).
-                    heap.write_va(header_va, header.without_mark().raw());
-                    let pa = heap.va_to_pa(header_va);
-                    mem.schedule(&MemReq::write(pa, 8, Source::Sweeper), sweeper.now);
+                    heap.phys.write_u64(header_pa, header.without_mark().raw());
+                    mem.schedule(&MemReq::write(header_pa, 8, Source::Sweeper), sweeper.now);
                     result.live_objects += 1;
                 } else {
                     // Dead: the cell joins the free list.
-                    Self::append_free(heap, mem, sweeper.now, job, cell);
+                    Self::append_free(heap, mem, sweeper.now, job, cell, cell_pa);
                     result.cells_freed += 1;
                 }
             }
         }
     }
 
-    /// Links `cell` onto the block's new free list (address order is
-    /// preserved because cells are visited in address order).
+    /// Links `cell` (physical `cell_pa`) onto the block's new free list
+    /// (address order is preserved because cells are visited in address
+    /// order).
     fn append_free(
         heap: &mut Heap,
         mem: &mut MemSystem,
         now: Cycle,
         job: &mut BlockJob,
         cell: u64,
+        cell_pa: u64,
     ) {
-        heap.write_va(cell, encode_free_cell_start(0));
-        let pa = heap.va_to_pa(cell);
-        mem.schedule(&MemReq::write(pa, 8, Source::Sweeper), now);
+        heap.phys.write_u64(cell_pa, encode_free_cell_start(0));
+        mem.schedule(&MemReq::write(cell_pa, 8, Source::Sweeper), now);
         if job.tail == 0 {
             job.free_head = cell;
         } else {
-            heap.write_va(job.tail, encode_free_cell_start(cell));
-            let tail_pa = heap.va_to_pa(job.tail);
-            mem.schedule(&MemReq::write(tail_pa, 8, Source::Sweeper), now);
+            debug_assert_eq!(job.tail_pa, heap.va_to_pa(job.tail));
+            heap.phys
+                .write_u64(job.tail_pa, encode_free_cell_start(cell));
+            mem.schedule(&MemReq::write(job.tail_pa, 8, Source::Sweeper), now);
         }
         job.tail = cell;
+        job.tail_pa = cell_pa;
         job.free_cells += 1;
     }
 
@@ -454,6 +461,7 @@ impl<'a, 'c> Engine<SocCtx<'c>> for SweepEngine<'a> {
                     ncells: info.ncells,
                     next_cell: 0,
                     tail: 0,
+                    tail_pa: 0,
                     free_head: 0,
                     free_cells: 0,
                 });

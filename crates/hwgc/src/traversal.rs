@@ -116,12 +116,31 @@ enum TraceState {
     ConvFields { obj: u64, offsets: VecDeque<u32> },
 }
 
+/// The words of one unit transfer, carried inline: a transfer is at
+/// most 64 B (eight words), so issuing one allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Words {
+    buf: [u64; 8],
+    len: u8,
+}
+
+impl Words {
+    fn push(&mut self, word: u64) {
+        self.buf[usize::from(self.len)] = word;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.buf[..usize::from(self.len)]
+    }
+}
+
 /// A tracer response: references (possibly none) arriving at `done`.
 #[derive(Debug)]
 struct TraceResp {
     done: Cycle,
     seq: u64,
-    refs: Vec<u64>,
+    refs: Words,
 }
 
 impl PartialEq for TraceResp {
@@ -146,7 +165,7 @@ struct RootReader {
     /// Remaining `(addr, size)` chunks of the root array to read.
     chunks: VecDeque<(u64, u32)>,
     /// In-flight chunk: data arrives at `.0`.
-    pending: Option<(Cycle, Vec<u64>)>,
+    pending: Option<(Cycle, Words)>,
     /// Roots read but not yet pushed into the mark queue.
     buf: VecDeque<u64>,
 }
@@ -170,6 +189,12 @@ pub struct TraversalUnit {
     markbit: MarkBitCache,
     tracerq: BoundedQueue<TraceJob>,
     marker_slots: Vec<MarkerSlot>,
+    /// Earliest `done` over the `Busy` marker slots (`Cycle::MAX` when
+    /// none is busy), kept current at every slot transition so a cycle
+    /// with nothing landing never scans the slots.
+    busy_min_done: Cycle,
+    /// Number of `Deliver` (parked) marker slots.
+    parked_slots: usize,
     trace_state: Option<TraceState>,
     responses: BinaryHeap<Reverse<TraceResp>>,
     resp_seq: u64,
@@ -264,6 +289,8 @@ impl TraversalUnit {
             markbit: MarkBitCache::new(cfg.markbit_cache),
             tracerq: BoundedQueue::new(cfg.tracer_queue),
             marker_slots: vec![MarkerSlot::Free; cfg.marker_slots],
+            busy_min_done: Cycle::MAX,
+            parked_slots: 0,
             trace_state: None,
             responses: BinaryHeap::new(),
             resp_seq: 0,
@@ -544,10 +571,7 @@ impl TraversalUnit {
             return self.tracer_block_reason;
         }
         let tracer_has_work = self.trace_state.is_some() || !self.tracerq.is_empty();
-        let marker_parked = self
-            .marker_slots
-            .iter()
-            .any(|s| matches!(s, MarkerSlot::Deliver { .. }));
+        let marker_parked = self.parked_slots > 0;
         let tracer_gated = tracer_has_work
             && (self.markq.throttled()
                 || self.deliver_buf.len() > 4 * self.markq.entries_per_chunk());
@@ -557,10 +581,7 @@ impl TraversalUnit {
         let mem_pending = self.roots.pending.is_some()
             || !self.responses.is_empty()
             || self.markq.next_event().is_some()
-            || self
-                .marker_slots
-                .iter()
-                .any(|s| matches!(s, MarkerSlot::Busy { .. }));
+            || self.busy_min_done != Cycle::MAX;
         if mem_pending {
             return StallReason::MemLatency;
         }
@@ -789,7 +810,7 @@ impl TraversalUnit {
             }
         }
         if let Some((_, refs)) = self.roots.pending.take() {
-            pending.extend(refs);
+            pending.extend_from_slice(refs.as_slice());
         }
         pending.extend(self.roots.buf.drain(..));
         // Marker slots: objects whose mark AMO already landed
@@ -801,6 +822,8 @@ impl TraversalUnit {
             }
             *slot = MarkerSlot::Free;
         }
+        self.busy_min_done = Cycle::MAX;
+        self.parked_slots = 0;
         // Tracer queue and the in-flight trace: hand back the whole
         // object; partial tracing progress is simply redone.
         while let Some(job) = self.tracerq.pop() {
@@ -816,7 +839,7 @@ impl TraversalUnit {
         }
         // Undelivered tracer responses and buffered references.
         while let Some(Reverse(resp)) = self.responses.pop() {
-            pending.extend(resp.refs);
+            pending.extend_from_slice(resp.refs.as_slice());
         }
         pending.extend(self.deliver_buf.drain(..));
         pending.extend(self.injected.drain(..));
@@ -854,7 +877,7 @@ impl TraversalUnit {
         if let Some((done, _)) = self.roots.pending {
             if done <= now {
                 let (_, refs) = self.roots.pending.take().expect("pending root read");
-                self.roots.buf.extend(refs);
+                self.roots.buf.extend(refs.as_slice());
                 progress = true;
             }
             return progress;
@@ -876,9 +899,14 @@ impl TraversalUnit {
                 }
             };
             let done = self.data_access(pa, size, false, false, Source::RootReader, ready, mem);
-            let refs: Vec<u64> = (0..size as u64 / WORD)
-                .map(|i| heap.read_va(addr + i * WORD))
-                .collect();
+            // `decompose_aligned` chunks are naturally aligned and at most
+            // 64 B, so the chunk never crosses a page: its words sit at
+            // consecutive PAs from the translated one.
+            debug_assert_eq!(pa, heap.va_to_pa(addr));
+            let mut refs = Words::default();
+            for i in 0..u64::from(size) / WORD {
+                refs.push(heap.phys.read_u64(pa + i * WORD));
+            }
             self.roots.pending = Some((done, refs));
             progress = true;
         }
@@ -889,11 +917,13 @@ impl TraversalUnit {
     fn tick_marker_deliver(&mut self, now: Cycle) -> bool {
         // Newly completed responses first: they may free their slot
         // without needing tracer-queue space (already marked / no refs).
-        let landed = self
-            .marker_slots
-            .iter()
-            .position(|s| matches!(s, MarkerSlot::Busy { done, .. } if *done <= now));
-        if let Some(idx) = landed {
+        // Nothing has landed before the earliest busy `done`.
+        if now >= self.busy_min_done {
+            let idx = self
+                .marker_slots
+                .iter()
+                .position(|s| matches!(s, MarkerSlot::Busy { done, .. } if *done <= now))
+                .expect("a busy slot is due at busy_min_done");
             let (va, old) = match self.marker_slots[idx] {
                 MarkerSlot::Busy { va, old, .. } => (va, old),
                 _ => unreachable!("matched Busy above"),
@@ -912,13 +942,13 @@ impl TraversalUnit {
                 // architected-state drain recovers the object, then
                 // freeze: a dead tag bit or an absurd count means the
                 // header word cannot be trusted.
-                self.marker_slots[idx] = MarkerSlot::Deliver { va, old };
+                self.set_slot(idx, MarkerSlot::Deliver { va, old });
                 self.raise_trap(Trap::new(TrapKind::HeaderCorrupt, va, now));
                 return true;
             }
             if header.is_marked() || header.nrefs() == 0 {
                 // Nothing to trace; free the slot.
-                self.marker_slots[idx] = MarkerSlot::Free;
+                self.set_slot(idx, MarkerSlot::Free);
                 return true;
             }
             let job = TraceJob {
@@ -926,33 +956,69 @@ impl TraversalUnit {
                 nrefs: header.nrefs(),
             };
             if self.tracerq.try_push(job).is_ok() {
-                self.marker_slots[idx] = MarkerSlot::Free;
+                self.set_slot(idx, MarkerSlot::Free);
             } else {
                 // Hold the response: back-pressure on the marker.
-                self.marker_slots[idx] = MarkerSlot::Deliver { va, old };
+                self.set_slot(idx, MarkerSlot::Deliver { va, old });
             }
             return true;
         }
         // Retry a parked delivery; a failed retry is *not* progress (the
         // queue is still full), so idle cycles can skip ahead and real
         // deadlocks are detected instead of spinning.
-        for slot in &mut self.marker_slots {
-            let (va, old) = match *slot {
-                MarkerSlot::Deliver { va, old } => (va, old),
-                _ => continue,
-            };
-            let header = Header::from_raw(old);
-            let job = TraceJob {
-                obj: va,
-                nrefs: header.nrefs(),
-            };
-            if self.tracerq.try_push(job).is_ok() {
-                *slot = MarkerSlot::Free;
-                return true;
-            }
+        if self.parked_slots == 0 {
             return false;
         }
+        let (idx, va, old) = self
+            .marker_slots
+            .iter()
+            .enumerate()
+            .find_map(|(i, s)| match *s {
+                MarkerSlot::Deliver { va, old } => Some((i, va, old)),
+                _ => None,
+            })
+            .expect("parked_slots counts a Deliver slot");
+        let job = TraceJob {
+            obj: va,
+            nrefs: Header::from_raw(old).nrefs(),
+        };
+        if self.tracerq.try_push(job).is_ok() {
+            self.set_slot(idx, MarkerSlot::Free);
+            return true;
+        }
         false
+    }
+
+    /// Moves marker slot `idx` to `next`, keeping `busy_min_done` and
+    /// `parked_slots` equal to a scan of the slots. Only the earliest
+    /// busy slot leaving `Busy` rescans: once per landed response, not
+    /// once per cycle.
+    fn set_slot(&mut self, idx: usize, next: MarkerSlot) {
+        let prev = std::mem::replace(&mut self.marker_slots[idx], next);
+        match prev {
+            MarkerSlot::Deliver { .. } => self.parked_slots -= 1,
+            MarkerSlot::Busy { done, .. } if done == self.busy_min_done => {
+                self.busy_min_done = Self::min_busy_done(&self.marker_slots);
+            }
+            _ => {}
+        }
+        match next {
+            MarkerSlot::Deliver { .. } => self.parked_slots += 1,
+            MarkerSlot::Busy { done, .. } => self.busy_min_done = self.busy_min_done.min(done),
+            MarkerSlot::Free => {}
+        }
+    }
+
+    /// Earliest `done` over `slots`' `Busy` entries (`Cycle::MAX` if none).
+    fn min_busy_done(slots: &[MarkerSlot]) -> Cycle {
+        slots
+            .iter()
+            .filter_map(|s| match s {
+                MarkerSlot::Busy { done, .. } => Some(*done),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Issues one mark AMO from the mark queue.
@@ -1031,7 +1097,7 @@ impl TraversalUnit {
         if let Some(trace) = &mut self.trace {
             trace.record(now, "marker", "mark_issue", va);
         }
-        self.marker_slots[slot_idx] = MarkerSlot::Busy { done, va, old };
+        self.set_slot(slot_idx, MarkerSlot::Busy { done, va, old });
         true
     }
 
@@ -1040,7 +1106,7 @@ impl TraversalUnit {
         if let Some(Reverse(resp)) = self.responses.peek() {
             if resp.done <= now {
                 let Reverse(resp) = self.responses.pop().expect("peeked");
-                self.deliver_buf.extend(resp.refs);
+                self.deliver_buf.extend(resp.refs.as_slice());
                 return true;
             }
         }
@@ -1125,10 +1191,16 @@ impl TraversalUnit {
                 self.block_tracer_on_walk(&before, ready);
                 let done =
                     self.data_access(pa, size as u32, false, false, Source::Tracer, ready, mem);
-                let refs: Vec<u64> = (0..size / WORD)
-                    .map(|i| heap.read_va(cursor + i * WORD))
-                    .filter(|&r| r != 0)
-                    .collect();
+                // The transfer is clipped at the page end, so its words
+                // sit at consecutive PAs from the translated one.
+                debug_assert_eq!(pa, heap.va_to_pa(cursor));
+                let mut refs = Words::default();
+                for i in 0..size / WORD {
+                    let r = heap.phys.read_u64(pa + i * WORD);
+                    if r != 0 {
+                        refs.push(r);
+                    }
+                }
                 self.push_response(done, refs);
                 if let Some(trace) = &mut self.trace {
                     trace.record(now, "tracer", "trace_issue", size);
@@ -1156,7 +1228,8 @@ impl TraversalUnit {
                 };
                 self.block_tracer_on_walk(&before, ready);
                 let t1 = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
-                let tib = heap.read_va(tib_va);
+                debug_assert_eq!(pa, heap.va_to_pa(tib_va));
+                let tib = heap.phys.read_u64(pa);
                 // Offset words, dependent on the TIB pointer.
                 let mut t2 = t1;
                 let mut offsets = VecDeque::with_capacity(nrefs as usize);
@@ -1171,12 +1244,14 @@ impl TraversalUnit {
                         }
                     };
                     t2 = self.data_access(pa, size, false, false, Source::Tracer, ready, mem);
-                    for i in 0..size as u64 / WORD {
-                        offsets.push_back(heap.read_va(addr + i * WORD) as u32);
+                    // Aligned chunks of at most 64 B never cross a page.
+                    debug_assert_eq!(pa, heap.va_to_pa(addr));
+                    for i in 0..u64::from(size) / WORD {
+                        offsets.push_back(heap.phys.read_u64(pa + i * WORD) as u32);
                     }
                 }
                 // An empty response carries the dependency time forward.
-                self.push_response(t2, Vec::new());
+                self.push_response(t2, Words::default());
                 self.trace_state = Some(TraceState::ConvFields { obj, offsets });
                 true
             }
@@ -1199,8 +1274,12 @@ impl TraversalUnit {
                 };
                 self.block_tracer_on_walk(&before, ready);
                 let done = self.data_access(pa, 8, false, false, Source::Tracer, ready, mem);
-                let raw = heap.read_va(field_va);
-                let refs = if raw != 0 { vec![raw] } else { Vec::new() };
+                debug_assert_eq!(pa, heap.va_to_pa(field_va));
+                let raw = heap.phys.read_u64(pa);
+                let mut refs = Words::default();
+                if raw != 0 {
+                    refs.push(raw);
+                }
                 self.push_response(done, refs);
                 if !offsets.is_empty() {
                     self.trace_state = Some(TraceState::ConvFields { obj, offsets });
@@ -1226,7 +1305,7 @@ impl TraversalUnit {
         }
     }
 
-    fn push_response(&mut self, done: Cycle, refs: Vec<u64>) {
+    fn push_response(&mut self, done: Cycle, refs: Words) {
         self.resp_seq += 1;
         self.responses.push(Reverse(TraceResp {
             done,
@@ -1242,10 +1321,8 @@ impl TraversalUnit {
             && self.trace_state.is_none()
             && self.responses.is_empty()
             && self.deliver_buf.is_empty()
-            && self
-                .marker_slots
-                .iter()
-                .all(|s| matches!(s, MarkerSlot::Free))
+            && self.busy_min_done == Cycle::MAX
+            && self.parked_slots == 0
     }
 
     fn next_event(&self) -> Option<Cycle> {
@@ -1259,10 +1336,8 @@ impl TraversalUnit {
         if let Some((t, _)) = self.roots.pending {
             consider(t);
         }
-        for s in &self.marker_slots {
-            if let MarkerSlot::Busy { done, .. } = s {
-                consider(*done);
-            }
+        if self.busy_min_done != Cycle::MAX {
+            consider(self.busy_min_done);
         }
         if let Some(Reverse(r)) = self.responses.peek() {
             consider(r.done);
@@ -1607,6 +1682,57 @@ mod tests {
 
     fn fault_plan(cfg: tracegc_sim::FaultConfig) -> tracegc_sim::FaultPlan {
         tracegc_sim::FaultPlan::new(cfg)
+    }
+
+    #[test]
+    fn marker_slot_index_matches_a_fresh_scan_every_step() {
+        // A one-entry tracer queue parks landed marks, and a header-
+        // corruption rate traps mid-pass with a slot held in `Deliver`.
+        let mut heap = build_heap(1500, LayoutKind::Bidirectional);
+        let mut mem = MemSystem::ddr3(Default::default());
+        let cfg = GcUnitConfig {
+            tracer_queue: 1,
+            ..GcUnitConfig::default()
+        };
+        let mut unit = TraversalUnit::new(cfg, &mut heap);
+        unit.install_fault_plan(&fault_plan(tracegc_sim::FaultConfig {
+            seed: 5,
+            corrupt_header_rate: 0.002,
+            ..Default::default()
+        }));
+        let fresh = |u: &TraversalUnit| {
+            let parked = u
+                .marker_slots
+                .iter()
+                .filter(|s| matches!(s, MarkerSlot::Deliver { .. }))
+                .count();
+            (TraversalUnit::min_busy_done(&u.marker_slots), parked)
+        };
+        unit.begin(&heap, 0);
+        let (mut now, mut steps, mut peak_parked) = (0, 0u64, 0);
+        while !unit.is_complete() {
+            let progressed = unit.step(now, &mut heap, &mut mem);
+            assert_eq!(
+                (unit.busy_min_done, unit.parked_slots),
+                fresh(&unit),
+                "step {steps} at cycle {now}"
+            );
+            peak_parked = peak_parked.max(unit.parked_slots);
+            steps += 1;
+            now = match unit.next_event_at() {
+                Some(t) if !progressed => t.max(now + 1),
+                _ => now + 1,
+            };
+        }
+        assert!(peak_parked > 1, "the tiny tracer queue must park slots");
+        let trap = unit.trap().expect("the corruption rate must trap mid-pass");
+        assert_eq!(trap.kind, TrapKind::HeaderCorrupt);
+        assert!(unit.parked_slots > 0, "the corrupt header is held parked");
+        let pending = unit.drain_architected_state(&heap);
+        assert_eq!((unit.busy_min_done, unit.parked_slots), (Cycle::MAX, 0));
+        assert_eq!(fresh(&unit), (Cycle::MAX, 0));
+        software_fallback(&mut heap, pending);
+        check_marks_match_reachability(&heap).unwrap();
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!   seeded open-loop arrival process, bounded admission, pluggable
 //!   scheduling policies and trace-driven replay of measured per-tenant
 //!   mark service times over shared traversal units.
+//! * [`lru`] — an O(1) exact-LRU map behind the TLBs and the mark-bit
+//!   cache.
 //! * [`sched`] — the SoC composition layer: the cycle-stepped
 //!   [`Engine`] trait and the [`Scheduler`] that ticks arbitrary engine
 //!   sets on one shared clock under a pluggable [`Policy`].
@@ -47,6 +49,7 @@
 pub mod dist;
 pub mod fault;
 pub mod fleet;
+pub mod lru;
 pub mod metrics;
 pub mod queue;
 pub mod rng;

@@ -128,22 +128,34 @@ impl AddressSpace {
         (va >> (12 + VPN_BITS * (LEVELS - 1 - level))) & (ENTRIES - 1)
     }
 
-    /// Physical addresses of the PTEs visited when walking `va`, root
-    /// first. This is exactly the sequence of reads the hardware walker
-    /// performs.
-    pub fn walk_path(&self, mem: &PhysMem, va: u64) -> Vec<u64> {
-        let mut path = Vec::with_capacity(LEVELS as usize);
+    /// Walks the table for `va` once: the physical addresses of the PTEs
+    /// visited, root first (exactly the sequence of reads the hardware
+    /// walker performs), and the leaf translation if the walk found one.
+    /// Allocation-free; the result derefs to the PTE-address slice.
+    pub fn walk_path(&self, mem: &PhysMem, va: u64) -> Walk {
+        let mut walk = Walk {
+            ptes: [0; LEVELS as usize],
+            len: 0,
+            leaf: None,
+        };
         let mut node = self.root_pa;
         for level in 0..LEVELS {
             let pte_pa = node + Self::vpn(va, level) * 8;
-            path.push(pte_pa);
+            walk.ptes[walk.len] = pte_pa;
+            walk.len += 1;
             let pte = mem.read_u64(pte_pa);
-            if pte & PTE_VALID == 0 || pte & PTE_LEAF != 0 {
+            if pte & PTE_VALID == 0 {
+                break;
+            }
+            if pte & PTE_LEAF != 0 {
+                let page_bytes = PAGE_SIZE << (VPN_BITS * (LEVELS - 1 - level));
+                let ppn = pte >> PTE_PPN_SHIFT;
+                walk.leaf = Some((ppn * PAGE_SIZE + (va % page_bytes), page_bytes));
                 break;
             }
             node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
         }
-        path
+        walk
     }
 
     /// Maps the page containing `va` to the frame containing `pa`,
@@ -243,20 +255,33 @@ impl AddressSpace {
     /// the mapping's page (4 KiB, 2 MiB or 1 GiB) so TLBs can install
     /// reach-appropriate entries.
     pub fn translate_entry(&self, mem: &PhysMem, va: u64) -> Option<(u64, u64)> {
-        let mut node = self.root_pa;
-        for level in 0..LEVELS {
-            let pte = mem.read_u64(node + Self::vpn(va, level) * 8);
-            if pte & PTE_VALID == 0 {
-                return None;
-            }
-            if pte & PTE_LEAF != 0 {
-                let page_bytes = PAGE_SIZE << (VPN_BITS * (LEVELS - 1 - level));
-                let ppn = pte >> PTE_PPN_SHIFT;
-                return Some((ppn * PAGE_SIZE + (va % page_bytes), page_bytes));
-            }
-            node = (pte >> PTE_PPN_SHIFT) * PAGE_SIZE;
-        }
-        None
+        self.walk_path(mem, va).leaf()
+    }
+}
+
+/// One page-table walk: the PTE addresses read (at most one per level)
+/// and the leaf it ended on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    ptes: [u64; LEVELS as usize],
+    len: usize,
+    leaf: Option<(u64, u64)>,
+}
+
+impl Walk {
+    /// `(pa, page_bytes)` of the translation, or `None` when the walk
+    /// hit an invalid PTE.
+    pub fn leaf(&self) -> Option<(u64, u64)> {
+        self.leaf
+    }
+}
+
+/// The physical addresses of the PTEs read, root first.
+impl std::ops::Deref for Walk {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.ptes[..self.len]
     }
 }
 

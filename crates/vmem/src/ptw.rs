@@ -321,9 +321,10 @@ fn translate_core(
     // as a corrupted page table would surface architecturally.
     let injected_fault = fault.is_some_and(|inj| inj.pte_fault());
 
-    let path = aspace.walk_path(phys, va);
+    // One walk yields both the PTE reads to time and the leaf to install.
+    let walk = aspace.walk_path(phys, va);
     let mut t = start;
-    for &pte_pa in &path {
+    for &pte_pa in walk.iter() {
         let mut backing = MemBacking {
             mem,
             source: Source::Ptw,
@@ -337,9 +338,7 @@ fn translate_core(
     if injected_fault {
         return Err(TranslateFault { va });
     }
-    let (pa, page_bytes) = aspace
-        .translate_entry(phys, va)
-        .ok_or(TranslateFault { va })?;
+    let (pa, page_bytes) = walk.leaf().ok_or(TranslateFault { va })?;
     // Superpage mappings install reach-appropriate TLB entries.
     l2.insert_sized(va, pa, page_bytes);
     l1[who.index()].insert_sized(va, pa, page_bytes);

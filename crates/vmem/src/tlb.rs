@@ -2,20 +2,17 @@
 //!
 //! The traversal unit carries 32-entry L1 TLBs in the marker and tracer
 //! and a 128-entry shared L2 TLB (§VI-A). At these sizes hardware TLBs
-//! are fully associative; the model is a simple LRU map from virtual page
-//! number to physical page number.
+//! are fully associative; the model is an O(1) exact LRU
+//! ([`LruMap`]) keyed by a mapping's base VA and page size.
+//!
+//! A lookup probes the map once for each page size that currently has a
+//! resident entry: normally only 4 KiB, plus 2 MiB when superpages are
+//! mapped (§VII). This returns what a first-match scan over all entries
+//! would, because every entry comes from one page table, and a page
+//! table maps each VA through at most one leaf: at most one resident
+//! entry covers any VA.
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// VA of the mapping's base (aligned to its page size).
-    base_va: u64,
-    /// PA of the mapping's base.
-    base_pa: u64,
-    /// Page size in bytes (4 KiB entries by default; 2 MiB for
-    /// superpages, §VII).
-    page_bytes: u64,
-    last_use: u64,
-}
+use tracegc_sim::lru::{Inserted, LruMap};
 
 /// A fully-associative, LRU-replaced TLB.
 ///
@@ -30,9 +27,12 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    entries: Vec<Entry>,
-    capacity: usize,
-    clock: u64,
+    /// `(base VA, page bytes)` → base PA, both bases aligned to the
+    /// page size.
+    entries: LruMap<(u64, u64), u64>,
+    /// `(page bytes, resident entries)` for every page size with at
+    /// least one resident entry.
+    sizes: Vec<(u64, usize)>,
     hits: u64,
     misses: u64,
 }
@@ -46,9 +46,8 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Self {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            clock: 0,
+            entries: LruMap::new(capacity),
+            sizes: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -56,19 +55,14 @@ impl Tlb {
 
     /// Looks up `va`; on a hit returns the full physical address.
     pub fn lookup(&mut self, va: u64) -> Option<u64> {
-        self.clock += 1;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| va & !(e.page_bytes - 1) == e.base_va)
-        {
-            e.last_use = self.clock;
-            self.hits += 1;
-            Some(e.base_pa + (va & (e.page_bytes - 1)))
-        } else {
-            self.misses += 1;
-            None
+        for &(page_bytes, _) in &self.sizes {
+            if let Some(&base_pa) = self.entries.get(&(va & !(page_bytes - 1), page_bytes)) {
+                self.hits += 1;
+                return Some(base_pa + (va & (page_bytes - 1)));
+            }
         }
+        self.misses += 1;
+        None
     }
 
     /// Installs a 4 KiB translation for the page containing `va`,
@@ -88,39 +82,36 @@ impl Tlb {
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
-        self.clock += 1;
-        let base_va = va & !(page_bytes - 1);
-        let base_pa = pa & !(page_bytes - 1);
-        if let Some(e) = self
-            .entries
+        let key = (va & !(page_bytes - 1), page_bytes);
+        match self.entries.insert(key, pa & !(page_bytes - 1)) {
+            Inserted::Updated => return,
+            Inserted::Added => {}
+            Inserted::Evicted((_, gone), _) => {
+                let i = self
+                    .sizes
+                    .iter()
+                    .position(|&(bytes, _)| bytes == gone)
+                    .expect("evicted page size is resident");
+                self.sizes[i].1 -= 1;
+                if self.sizes[i].1 == 0 {
+                    self.sizes.swap_remove(i);
+                }
+            }
+        }
+        match self
+            .sizes
             .iter_mut()
-            .find(|e| e.base_va == base_va && e.page_bytes == page_bytes)
+            .find(|(bytes, _)| *bytes == page_bytes)
         {
-            e.base_pa = base_pa;
-            e.last_use = self.clock;
-            return;
+            Some((_, n)) => *n += 1,
+            None => self.sizes.push((page_bytes, 1)),
         }
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("full TLB is non-empty");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push(Entry {
-            base_va,
-            base_pa,
-            page_bytes,
-            last_use: self.clock,
-        });
     }
 
     /// Drops every entry (e.g. on address-space switch).
     pub fn flush(&mut self) {
         self.entries.clear();
+        self.sizes.clear();
     }
 
     /// Hit count.
@@ -193,6 +184,144 @@ mod tests {
         tlb.flush();
         assert!(tlb.is_empty());
         assert_eq!(tlb.lookup(0), None);
+    }
+
+    /// The linear TLB the indexed one replaced: first-match `find` on
+    /// lookup, a unique monotone use clock, and a `min_by_key` scan for
+    /// the victim.
+    struct OracleTlb {
+        entries: Vec<(u64, u64, u64, u64)>, // (base_va, base_pa, page_bytes, last_use)
+        capacity: usize,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl OracleTlb {
+        fn new(capacity: usize) -> Self {
+            Self {
+                entries: Vec::new(),
+                capacity,
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn lookup(&mut self, va: u64) -> Option<u64> {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| va & !(e.2 - 1) == e.0) {
+                e.3 = self.clock;
+                self.hits += 1;
+                Some(e.1 + (va & (e.2 - 1)))
+            } else {
+                self.misses += 1;
+                None
+            }
+        }
+
+        fn insert_sized(&mut self, va: u64, pa: u64, page_bytes: u64) {
+            self.clock += 1;
+            let base_va = va & !(page_bytes - 1);
+            let base_pa = pa & !(page_bytes - 1);
+            if let Some(e) = self
+                .entries
+                .iter_mut()
+                .find(|e| e.0 == base_va && e.2 == page_bytes)
+            {
+                e.1 = base_pa;
+                e.3 = self.clock;
+                return;
+            }
+            if self.entries.len() == self.capacity {
+                let lru = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].3)
+                    .expect("full TLB is non-empty");
+                self.entries.swap_remove(lru);
+            }
+            self.entries
+                .push((base_va, base_pa, page_bytes, self.clock));
+        }
+
+        fn resident(&self) -> Vec<(u64, u64, u64)> {
+            let mut r: Vec<_> = self.entries.iter().map(|e| (e.0, e.1, e.2)).collect();
+            r.sort_unstable();
+            r
+        }
+    }
+
+    impl Tlb {
+        fn resident(&self) -> Vec<(u64, u64, u64)> {
+            let mut r: Vec<_> = self
+                .entries
+                .iter()
+                .map(|(&(base_va, page_bytes), &base_pa)| (base_va, base_pa, page_bytes))
+                .collect();
+            r.sort_unstable();
+            r
+        }
+    }
+
+    #[test]
+    fn indexed_tlb_matches_linear_oracle() {
+        use crate::pagetable::MEGAPAGE_SIZE;
+        use tracegc_sim::rng::{Rng, StdRng};
+        // 4 KiB pages and 2 MiB superpages live on disjoint VA ranges,
+        // as they do under one page table.
+        const SMALL_BASE: u64 = 0x4000_0000;
+        const HUGE_BASE: u64 = 0x1_0000_0000;
+        for (seed, capacity) in [1usize, 2, 32, 128, 256].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0x71b0 + seed as u64);
+            let mut tlb = Tlb::new(capacity);
+            let mut oracle = OracleTlb::new(capacity);
+            // Enough distinct pages to keep the LRU evicting, few enough
+            // that keys repeat.
+            let small_pages = (capacity as u64 * 3 / 2).max(3);
+            let huge_pages = (capacity as u64 / 4).max(2);
+            for call in 0..6000 {
+                let huge = rng.random_range(0..5u32) == 0;
+                let (va, page_bytes) = if huge {
+                    let page = rng.random_range(0..huge_pages);
+                    let off = rng.random_range(0..MEGAPAGE_SIZE / 8) * 8;
+                    (HUGE_BASE + page * MEGAPAGE_SIZE + off, MEGAPAGE_SIZE)
+                } else {
+                    let page = rng.random_range(0..small_pages);
+                    let off = rng.random_range(0..PAGE_SIZE / 8) * 8;
+                    (SMALL_BASE + page * PAGE_SIZE + off, PAGE_SIZE)
+                };
+                match rng.random_range(0..16u32) {
+                    0..=8 => assert_eq!(
+                        tlb.lookup(va),
+                        oracle.lookup(va),
+                        "cap {capacity} call {call}: lookup {va:#x}"
+                    ),
+                    9..=14 => {
+                        // Frames from a small pool, so re-inserting a
+                        // resident key often changes its PA.
+                        let pa = rng.random_range(0..8u64) * page_bytes;
+                        tlb.insert_sized(va, pa, page_bytes);
+                        oracle.insert_sized(va, pa, page_bytes);
+                    }
+                    _ if rng.random_range(0..32u32) == 0 => {
+                        tlb.flush();
+                        oracle.entries.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    (tlb.hits(), tlb.misses()),
+                    (oracle.hits, oracle.misses),
+                    "cap {capacity} call {call}: counters"
+                );
+                assert_eq!(
+                    tlb.resident(),
+                    oracle.resident(),
+                    "cap {capacity} call {call}: resident set"
+                );
+                assert_eq!(tlb.len(), oracle.entries.len());
+            }
+            assert!(oracle.hits > 0 && oracle.misses > 0, "cap {capacity}");
+        }
     }
 
     #[test]
