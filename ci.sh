@@ -151,7 +151,10 @@ rc=0
     --out "$SIDECAR_DIR/fl_fault" fleet >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 2
 
-echo "==> heapscale paper-scale run under the host-RSS ceiling (~75 s single-core)"
+echo "==> heapscale paper-scale run under the host-RSS ceiling"
+# Measured on a shared 2-CPU host (DESIGN.md §15), two runs each: 130.1 s
+# and 148.4 s before the indexed heap path, 133.5 s and 141.4 s after;
+# VmHWM 2301 MB in all four.
 # The acceptance run of the memory-lean representation (DESIGN.md §11):
 # the paper-exact 200 MB heap and the >=1 GB-live-set server LRU, end
 # to end (mark + sweep) at --scale 1.0. The ceiling is stated as a

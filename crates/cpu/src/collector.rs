@@ -478,7 +478,7 @@ mod tests {
         assert_eq!(sweep.work_items, 200, "dead objects freed");
         check_free_lists(&heap).unwrap();
         // Marks cleared, live objects untouched.
-        assert!(heap.marked_set().is_empty());
+        assert!(heap.marked_objects().is_empty());
         assert_eq!(heap.reachable_from_roots(), live_before);
     }
 
@@ -613,7 +613,7 @@ mod tests {
         let junk = [0u64, 0x1003, 1u64 << 40, !7u64];
         let result = cpu.resume_mark_from(&mut heap, &mut mem, &junk);
         assert_eq!(result.work_items, 0);
-        assert!(heap.marked_set().is_empty());
+        assert!(heap.marked_objects().is_empty());
     }
 
     #[test]

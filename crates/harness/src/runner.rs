@@ -386,9 +386,8 @@ pub fn run_unit_gc_faulted(
             let mut cpu = Cpu::new(CpuConfig::default(), &mut workload.heap);
             cpu.advance_to(trap.at);
             let fb = cpu.resume_mark_from(&mut workload.heap, &mut mem, &pending);
-            check_marks_match_reachability(&workload.heap)
+            let marked_total = check_marks_match_reachability(&workload.heap)
                 .expect("software fallback must complete the mark exactly");
-            let marked_total = workload.heap.marked_set().len() as u64;
             let sweep = unit.sweep_after_fallback(
                 &mut workload.heap,
                 &mut mem,
@@ -523,16 +522,18 @@ pub fn run_faulted_mark(
         stats.merge(s);
     }
 
-    if !matches!(outcome, MarkOutcome::Failed(_)) {
+    let objects_marked = if matches!(outcome, MarkOutcome::Failed(_)) {
+        workload.heap.marked_objects().len() as u64
+    } else {
         check_marks_match_reachability(&workload.heap)
-            .expect("fault-injected mark must agree with reachability");
-    }
+            .expect("fault-injected mark must agree with reachability")
+    };
 
     FaultedMarkRun {
         outcome,
         unit_cycles,
         fallback_cycles,
-        objects_marked: workload.heap.marked_set().len() as u64,
+        objects_marked,
         stats,
         unit_stalls: *unit.stalls(),
         fallback_stalls,
@@ -601,16 +602,18 @@ pub fn run_faulted_mark_stream(
         stats.merge(s);
     }
 
-    if !matches!(outcome, MarkOutcome::Failed(_)) {
+    let objects_marked = if matches!(outcome, MarkOutcome::Failed(_)) {
+        streamed.heap.marked_objects().len() as u64
+    } else {
         check_marks_match_reachability(&streamed.heap)
-            .expect("fault-injected streamed mark must agree with reachability");
-    }
+            .expect("fault-injected streamed mark must agree with reachability")
+    };
 
     FaultedMarkRun {
         outcome,
         unit_cycles,
         fallback_cycles,
-        objects_marked: streamed.heap.marked_set().len() as u64,
+        objects_marked,
         stats,
         unit_stalls: *unit.stalls(),
         fallback_stalls,
@@ -783,7 +786,7 @@ mod tests {
         );
         assert_eq!(run.report.sweep.cells_freed, clean.report.sweep.cells_freed);
         assert!(
-            run.workload.heap.marked_set().is_empty(),
+            run.workload.heap.marked_objects().is_empty(),
             "sweep clears marks"
         );
         tracegc_heap::verify::check_free_lists(&run.workload.heap).unwrap();

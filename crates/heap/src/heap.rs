@@ -2,9 +2,11 @@
 //! and the functional object API shared by every timed agent.
 
 use crate::pageset::PageSet;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use tracegc_mem::PhysMem;
+use tracegc_sim::lru::MulHasher;
 use tracegc_vmem::{AddressSpace, FrameAlloc, PAGE_SIZE};
 
 use crate::layout::{
@@ -217,13 +219,17 @@ impl Heap {
         &self.roots
     }
 
+    /// Maps every page of `[va, va + len)` that is not mapped yet. The
+    /// only writer of page-table entries: it never remaps a page, so the
+    /// run index it keeps alongside the radix table stays exact.
     fn ensure_mapped(&mut self, va: u64, len: u64) {
         use tracegc_vmem::pagetable::MEGAPAGE_SIZE;
         if self.cfg.superpages {
+            const PAGES: u64 = MEGAPAGE_SIZE / PAGE_SIZE;
             let first = va / MEGAPAGE_SIZE;
             let last = (va + len - 1) / MEGAPAGE_SIZE;
             for mp in first..=last {
-                let base_page = mp * (MEGAPAGE_SIZE / PAGE_SIZE);
+                let base_page = mp * PAGES;
                 if !self.mapped_pages.contains(base_page) {
                     let frame = self.falloc.alloc_region(MEGAPAGE_SIZE, MEGAPAGE_SIZE);
                     self.aspace.map_superpage(
@@ -233,7 +239,7 @@ impl Heap {
                         frame,
                     );
                     self.mapped_pages
-                        .insert_range(base_page, base_page + MEGAPAGE_SIZE / PAGE_SIZE);
+                        .insert_range(base_page, base_page + PAGES, frame / PAGE_SIZE);
                 }
             }
             return;
@@ -241,10 +247,11 @@ impl Heap {
         let first = va / PAGE_SIZE;
         let last = (va + len - 1) / PAGE_SIZE;
         for page in first..=last {
-            if self.mapped_pages.insert(page) {
+            if !self.mapped_pages.contains(page) {
                 let frame = self.falloc.alloc();
                 self.aspace
                     .map_page(&mut self.phys, &mut self.falloc, page * PAGE_SIZE, frame);
+                self.mapped_pages.insert(page, frame / PAGE_SIZE);
             }
         }
     }
@@ -256,16 +263,27 @@ impl Heap {
         self.ensure_mapped(va, len);
     }
 
-    /// Translates a virtual address through the heap's own page tables
-    /// (the zero-latency oracle used by functional accesses).
+    /// Translates a virtual address for a functional access (the
+    /// zero-latency oracle). It reads the run index `ensure_mapped`
+    /// keeps, not the radix table; debug builds check every answer
+    /// against a walk of the heap's own page tables.
     ///
     /// # Panics
     ///
     /// Panics if `va` is unmapped — functional accesses must never fault.
+    #[inline]
     pub fn va_to_pa(&self, va: u64) -> u64 {
-        self.aspace
-            .translate(&self.phys, va)
-            .unwrap_or_else(|| panic!("unmapped virtual address {va:#x}"))
+        let frame = self
+            .mapped_pages
+            .frame_of(va / PAGE_SIZE)
+            .unwrap_or_else(|| panic!("unmapped virtual address {va:#x}"));
+        let pa = frame * PAGE_SIZE + va % PAGE_SIZE;
+        debug_assert_eq!(
+            Some(pa),
+            self.aspace.translate(&self.phys, va),
+            "page index and radix walk disagree at {va:#x}"
+        );
+        pa
     }
 
     /// Reads the word at virtual address `va`.
@@ -524,10 +542,11 @@ impl Heap {
         (raw != 0).then(|| ObjRef::new(raw))
     }
 
-    /// All non-null outgoing references of `obj`.
-    pub fn refs_of(&self, obj: ObjRef) -> Vec<ObjRef> {
-        let n = self.nrefs(obj);
-        (0..n).filter_map(|i| self.get_ref(obj, i)).collect()
+    /// All non-null outgoing references of `obj`, in slot order. Reads
+    /// the slots lazily and allocates nothing; collect when a `Vec` is
+    /// needed.
+    pub fn refs_of(&self, obj: ObjRef) -> impl Iterator<Item = ObjRef> + '_ {
+        (0..self.nrefs(obj)).filter_map(move |i| self.get_ref(obj, i))
     }
 
     /// Whether `obj`'s mark bit is set.
@@ -568,23 +587,20 @@ impl Heap {
     // Traversal & sweep support
     // ------------------------------------------------------------------
 
-    /// The reachability oracle: a plain BFS over the object graph from
-    /// the roots, ignoring mark bits. Every timed collector's mark set is
-    /// compared against this.
-    pub fn reachable_from_roots(&self) -> BTreeSet<ObjRef> {
-        let mut seen: BTreeSet<ObjRef> = BTreeSet::new();
-        let mut frontier: VecDeque<ObjRef> = self.roots.iter().copied().collect();
-        while let Some(obj) = frontier.pop_front() {
-            if !seen.insert(obj) {
-                continue;
-            }
-            for r in self.refs_of(obj) {
-                if !seen.contains(&r) {
-                    frontier.push_back(r);
-                }
+    /// The reachability oracle: every object reachable from the roots,
+    /// found by a plain graph walk that ignores mark bits, in address
+    /// order. Every timed collector's mark set is compared against this.
+    pub fn reachable_from_roots(&self) -> Vec<ObjRef> {
+        let mut seen: HashSet<ObjRef, BuildHasherDefault<MulHasher>> = HashSet::default();
+        let mut stack = self.roots.clone();
+        while let Some(obj) = stack.pop() {
+            if seen.insert(obj) {
+                stack.extend(self.refs_of(obj).filter(|r| !seen.contains(r)));
             }
         }
-        seen
+        let mut out: Vec<ObjRef> = seen.into_iter().collect();
+        out.sort_unstable();
+        out
     }
 
     /// How often a complete tracing pass presents each reachable object
@@ -601,15 +617,11 @@ impl Heap {
         counts
     }
 
-    /// The set of objects whose mark bit is currently set (linear scan of
-    /// all blocks plus the LOS).
-    pub fn marked_set(&self) -> BTreeSet<ObjRef> {
-        let mut out = BTreeSet::new();
-        for obj in self.iter_objects() {
-            if self.is_marked(obj) {
-                out.insert(obj);
-            }
-        }
+    /// The objects whose mark bit is currently set, in address order (a
+    /// linear scan of all blocks plus the LOS).
+    pub fn marked_objects(&self) -> Vec<ObjRef> {
+        let mut out = self.iter_objects();
+        out.retain(|&obj| self.is_marked(obj));
         out
     }
 
@@ -675,6 +687,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn small_heap() -> Heap {
         Heap::new(HeapConfig {
@@ -690,7 +703,7 @@ mod tests {
         assert_eq!(h.nrefs(obj), 2);
         assert!(!h.is_marked(obj));
         assert!(h.header(obj).is_live());
-        assert_eq!(h.refs_of(obj), vec![]);
+        assert_eq!(h.refs_of(obj).collect::<Vec<_>>(), vec![]);
     }
 
     #[test]
@@ -701,9 +714,9 @@ mod tests {
         h.set_ref(a, 1, Some(b));
         assert_eq!(h.get_ref(a, 0), None);
         assert_eq!(h.get_ref(a, 1), Some(b));
-        assert_eq!(h.refs_of(a), vec![b]);
+        assert_eq!(h.refs_of(a).collect::<Vec<_>>(), vec![b]);
         h.set_ref(a, 1, None);
-        assert_eq!(h.refs_of(a), vec![]);
+        assert_eq!(h.refs_of(a).collect::<Vec<_>>(), vec![]);
     }
 
     #[test]
@@ -821,7 +834,7 @@ mod tests {
         let b = h.alloc(0, 0, false).unwrap();
         h.set_ref(a, 0, Some(b));
         h.set_ref(a, 2, Some(a));
-        assert_eq!(h.refs_of(a), vec![b, a]);
+        assert_eq!(h.refs_of(a).collect::<Vec<_>>(), vec![b, a]);
         // TIBs are shared across same-shape objects.
         let c = h.alloc(3, 3, false).unwrap();
         let tib_a = h.read_va(conv::tib_slot(a));
@@ -882,6 +895,77 @@ mod tests {
         h.phys.write_u64(base, 1);
         h.phys.write_u64(base + (4 << 20) - 8, 2);
         assert_eq!(h.phys.read_u64(base), 1);
+    }
+
+    #[test]
+    fn page_index_matches_radix_walk() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use tracegc_vmem::pagetable::MEGAPAGE_SIZE;
+        for layout in [LayoutKind::Bidirectional, LayoutKind::Conventional] {
+            for superpages in [false, true] {
+                let mut h = Heap::new(HeapConfig {
+                    phys_bytes: 128 << 20,
+                    layout,
+                    superpages,
+                    ..HeapConfig::default()
+                });
+                // Mark-sweep cells, LOS objects (and, conventionally,
+                // TIBs in the immortal space), interleaved so the
+                // spaces' frames interleave too.
+                let objs: Vec<ObjRef> = (0..3000u32)
+                    .map(|i| {
+                        let nrefs = if i % 150 == 0 { 1500 + i } else { i % 6 };
+                        h.alloc(nrefs, i % 5, false).unwrap()
+                    })
+                    .collect();
+                h.set_roots(&objs[..700]);
+                let spaces = *h.spaces();
+                h.ensure_mapped_region(spaces.immortal_base + (8 << 20) + 24, 3 * PAGE_SIZE);
+                // Every page of every space: the index and the radix
+                // table agree on which pages are mapped and where.
+                let mut mapped = 0u64;
+                for (base, size) in [
+                    (spaces.immortal_base, spaces.immortal_size),
+                    (spaces.hwgc_base, spaces.hwgc_size),
+                    (
+                        spaces.ms_base,
+                        (h.ms_next_va - spaces.ms_base).next_multiple_of(MEGAPAGE_SIZE),
+                    ),
+                    (
+                        spaces.los_base,
+                        (h.los_next_va - spaces.los_base).next_multiple_of(MEGAPAGE_SIZE),
+                    ),
+                ] {
+                    for va in (base..base + size).step_by(PAGE_SIZE as usize) {
+                        let page = va / PAGE_SIZE;
+                        let walk = h.aspace.translate(&h.phys, va);
+                        assert_eq!(h.mapped_pages.contains(page), walk.is_some(), "{va:#x}");
+                        if walk.is_some() {
+                            mapped += 1;
+                            for off in [0, PAGE_SIZE - WORD] {
+                                assert_eq!(
+                                    Some(h.va_to_pa(va + off)),
+                                    h.aspace.translate(&h.phys, va + off),
+                                    "{:#x}",
+                                    va + off
+                                );
+                            }
+                        }
+                    }
+                }
+                assert_eq!(mapped, h.mapped_pages.page_count());
+                let footprint = h.mapped_pages.run_count() * PageSet::RUN_BYTES;
+                assert!(
+                    footprint as u64 <= 8 * mapped,
+                    "{footprint} B of index for {mapped} pages"
+                );
+                let unmapped = spaces.ms_base + spaces.ms_size - WORD;
+                let err = catch_unwind(AssertUnwindSafe(|| h.va_to_pa(unmapped)))
+                    .expect_err("unmapped VA must panic");
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains("unmapped virtual address"), "{msg}");
+            }
+        }
     }
 }
 

@@ -25,24 +25,25 @@ pub struct SweepOutcome {
 }
 
 /// Marks every object reachable from the roots, functionally (no timing).
-/// Returns the set of marked objects.
-pub fn software_mark(heap: &mut Heap) -> BTreeSet<ObjRef> {
-    let mut marked = BTreeSet::new();
+/// Returns the newly marked objects in address order.
+pub fn software_mark(heap: &mut Heap) -> Vec<ObjRef> {
+    let mut marked = Vec::new();
     let mut stack: Vec<ObjRef> = heap.roots().to_vec();
     while let Some(obj) = stack.pop() {
         if heap.mark(obj) {
             continue; // already marked
         }
-        marked.insert(obj);
+        marked.push(obj);
         stack.extend(heap.refs_of(obj));
     }
+    marked.sort_unstable();
     marked
 }
 
 /// Like [`software_mark`], returning only the count of newly marked
 /// objects without materializing the set — what the streamed workload
 /// generators' recycling sweeps use on multi-million-object heaps,
-/// where a `BTreeSet` of every live object would dwarf the generator's
+/// where a list of every live object would dwarf the generator's
 /// own footprint.
 pub fn software_mark_count(heap: &mut Heap) -> u64 {
     let mut marked = 0u64;
@@ -166,19 +167,25 @@ pub fn check_free_lists(heap: &Heap) -> Result<(), String> {
 }
 
 /// Asserts that the marked set equals the reachability oracle — the
-/// central differential check.
+/// central differential check — and returns how many objects are
+/// marked, so a caller that needs the count scans the heap once. Both
+/// sides are address-ordered `Vec`s.
 ///
 /// # Errors
 ///
-/// Returns a description of the first divergence.
-pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
+/// Returns the counts and the first three missing and extra objects
+/// of the first divergence.
+pub fn check_marks_match_reachability(heap: &Heap) -> Result<u64, String> {
     let reachable = heap.reachable_from_roots();
-    let marked = heap.marked_set();
+    // The scan is in address order for the default space layout; sort
+    // anyway (linear on sorted input) so any `SpaceMap` compares right.
+    let mut marked = heap.marked_objects();
+    marked.sort_unstable();
     if reachable == marked {
-        return Ok(());
+        return Ok(marked.len() as u64);
     }
-    let missing: Vec<_> = reachable.difference(&marked).take(3).collect();
-    let extra: Vec<_> = marked.difference(&reachable).take(3).collect();
+    let missing = sorted_difference(&reachable, &marked);
+    let extra = sorted_difference(&marked, &reachable);
     Err(format!(
         "mark/reachability divergence: {} reachable, {} marked; missing {:?}, extra {:?}",
         reachable.len(),
@@ -186,6 +193,15 @@ pub fn check_marks_match_reachability(heap: &Heap) -> Result<(), String> {
         missing,
         extra
     ))
+}
+
+/// The first three elements of sorted `a` that are not in sorted `b`.
+fn sorted_difference(a: &[ObjRef], b: &[ObjRef]) -> Vec<ObjRef> {
+    a.iter()
+        .copied()
+        .filter(|x| b.binary_search(x).is_err())
+        .take(3)
+        .collect()
 }
 
 #[cfg(test)]
@@ -239,7 +255,7 @@ mod tests {
         let mut h = graph_heap();
         software_mark(&mut h);
         software_sweep(&mut h);
-        assert!(h.marked_set().is_empty());
+        assert!(h.marked_objects().is_empty());
     }
 
     #[test]
@@ -272,10 +288,65 @@ mod tests {
         let mut h = graph_heap();
         software_mark(&mut h);
         // Corrupt: unmark one reachable object.
-        let victim = *h.reachable_from_roots().iter().next().unwrap();
+        let victim = h.reachable_from_roots()[0];
         let hdr = h.header(victim).without_mark();
         h.write_va(victim.addr(), hdr.raw());
         assert!(check_marks_match_reachability(&h).is_err());
+    }
+
+    #[test]
+    fn check_reports_missing_and_extra_like_the_set_version() {
+        // The message the check produced when it compared two
+        // `BTreeSet`s: counts, then the first three of each difference.
+        fn set_version(h: &Heap) -> String {
+            let reachable: BTreeSet<ObjRef> = h.reachable_from_roots().into_iter().collect();
+            let marked: BTreeSet<ObjRef> = h.marked_objects().into_iter().collect();
+            let missing: Vec<_> = reachable.difference(&marked).take(3).collect();
+            let extra: Vec<_> = marked.difference(&reachable).take(3).collect();
+            format!(
+                "mark/reachability divergence: {} reachable, {} marked; missing {:?}, extra {:?}",
+                reachable.len(),
+                marked.len(),
+                missing,
+                extra
+            )
+        }
+        let mut h = graph_heap();
+        software_mark(&mut h);
+        assert_eq!(check_marks_match_reachability(&h), Ok(50));
+        let live = h.reachable_from_roots();
+        let garbage: Vec<ObjRef> = h
+            .iter_objects()
+            .into_iter()
+            .filter(|o| live.binary_search(o).is_err())
+            .collect();
+        // One reachable-but-unmarked object, one marked garbage object.
+        let victim = live[17];
+        let hdr = h.header(victim).without_mark();
+        h.write_va(victim.addr(), hdr.raw());
+        h.mark(garbage[9]);
+        let err = check_marks_match_reachability(&h).unwrap_err();
+        assert_eq!(err, set_version(&h));
+        assert_eq!(
+            err,
+            format!(
+                "mark/reachability divergence: 50 reachable, 50 marked; \
+                 missing [{victim:?}], extra [{:?}]",
+                garbage[9]
+            )
+        );
+        // More than three on each side: only the lowest three are named.
+        for &o in &live[20..26] {
+            let hdr = h.header(o).without_mark();
+            h.write_va(o.addr(), hdr.raw());
+        }
+        for &o in &garbage[..5] {
+            h.mark(o);
+        }
+        assert_eq!(
+            check_marks_match_reachability(&h).unwrap_err(),
+            set_version(&h)
+        );
     }
 
     #[test]

@@ -176,7 +176,7 @@ mod tests {
         assert!(report.mutator_ops > 0, "mutator should have run");
         // The SATB guarantee: nothing live at the snapshot is lost,
         // even though the mutator overwrote references mid-trace.
-        let marked = heap.marked_set();
+        let marked = heap.marked_objects();
         for obj in &live_at_start {
             assert!(marked.contains(obj), "lost object {obj}");
         }
@@ -200,7 +200,7 @@ mod tests {
             0,
         );
         assert!(report.allocated_during_gc > 0);
-        let marked = heap.marked_set();
+        let marked = heap.marked_objects();
         for obj in heap.iter_objects() {
             if !before.contains(&obj) {
                 assert!(marked.contains(&obj), "new object {obj} unmarked");

@@ -565,7 +565,7 @@ mod tests {
         assert_eq!(result.cells_freed, expected.freed_cells);
         assert_eq!(result.live_objects, expected.live_objects);
         check_free_lists(&heap).unwrap();
-        assert!(heap.marked_set().is_empty());
+        assert!(heap.marked_objects().is_empty());
         // Block metadata agrees with the oracle heap.
         for (a, b) in heap.blocks().iter().zip(href.blocks()) {
             assert_eq!(a.free_cells, b.free_cells);

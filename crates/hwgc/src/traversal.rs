@@ -1605,7 +1605,7 @@ mod tests {
         let mut unit = TraversalUnit::new(GcUnitConfig::default(), &mut heap);
         let result = unit.run_mark(&mut heap, &mut mem, 0);
         assert_eq!(result.objects_marked, 0);
-        assert!(heap.marked_set().is_empty());
+        assert!(heap.marked_objects().is_empty());
     }
 
     #[test]
@@ -1666,7 +1666,7 @@ mod tests {
             .collect();
         while let Some(obj) = work.pop() {
             heap.mark(obj);
-            for r in heap.refs_of(obj) {
+            for r in heap.refs_of(obj).collect::<Vec<_>>() {
                 // `Heap::mark` returns the *old* bit: push only the
                 // newly marked, so the walk terminates.
                 if !heap.mark(r) {

@@ -182,7 +182,7 @@ mod tests {
         assert_eq!(report.mark.objects_marked, 600);
         assert_eq!(report.sweep.cells_freed, 400);
         check_free_lists(&heap).unwrap();
-        assert!(heap.marked_set().is_empty());
+        assert!(heap.marked_objects().is_empty());
         assert!(report.total_cycles() > 0);
     }
 
@@ -228,7 +228,10 @@ mod tests {
         // The sweep cleared every mark, so the heap no longer looks
         // mid-collection: the mark/reachability oracle must *fail* on
         // the live set (reachable objects exist but carry no marks).
-        assert!(heap.marked_set().is_empty(), "sweep must clear all marks");
+        assert!(
+            heap.marked_objects().is_empty(),
+            "sweep must clear all marks"
+        );
         assert!(
             check_marks_match_reachability(&heap).is_err(),
             "live objects should be unmarked after sweep"

@@ -26,7 +26,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// buckets by the low bits, where page- or word-aligned keys would
 /// otherwise collide.
 #[derive(Debug, Clone, Copy, Default)]
-struct MulHasher(u64);
+pub struct MulHasher(u64);
 
 const MUL: u64 = 0xf135_7aea_2e62_a9c5;
 

@@ -14,7 +14,7 @@ use tracegc::workloads::spec::{BenchSpec, DACAPO};
 /// the sorted address list), so two heaps can be compared without
 /// shipping the whole set around in assertion messages.
 fn marked_fingerprint(heap: &Heap) -> (u64, u64) {
-    let marked = heap.marked_set();
+    let marked = heap.marked_objects();
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for obj in &marked {
         for byte in obj.addr().to_le_bytes() {

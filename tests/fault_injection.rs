@@ -226,7 +226,7 @@ fn fallback_completed_collection_sweeps_like_a_clean_one() {
         clean.report.sweep.live_objects
     );
     check_free_lists(&run.workload.heap).unwrap();
-    assert!(run.workload.heap.marked_set().is_empty());
+    assert!(run.workload.heap.marked_objects().is_empty());
     // The MMIO completion registers reflect the recovered totals.
     assert_eq!(
         run.unit.regs().read(tracegc::hwgc::mmio::Reg::FreedCount),

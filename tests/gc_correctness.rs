@@ -16,7 +16,7 @@ use tracegc::workloads::spec::DACAPO;
 fn post_gc_invariants(heap: &Heap) {
     check_free_lists(heap).unwrap();
     assert!(
-        heap.marked_set().is_empty(),
+        heap.marked_objects().is_empty(),
         "sweep must clear every mark bit"
     );
 }
